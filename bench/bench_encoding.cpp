@@ -52,7 +52,7 @@ void BM_PliFromColumnCodePath(benchmark::State& state) {
   EncodedRelation encoded = EncodedRelation::Encode(rel);
   for (auto _ : state) {
     PositionListIndex pli = PositionListIndex::FromCodes(
-        encoded.codes(0), encoded.dictionary(0).num_codes());
+        encoded.column_view(0), encoded.dictionary(0).num_codes());
     benchmark::DoNotOptimize(pli.num_clusters());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -106,9 +106,9 @@ void BM_G3CodePath(benchmark::State& state) {
   EncodedRelation encoded = EncodedRelation::Encode(rel);
   for (auto _ : state) {
     PositionListIndex x = PositionListIndex::FromCodes(
-        encoded.codes(0), encoded.dictionary(0).num_codes());
+        encoded.column_view(0), encoded.dictionary(0).num_codes());
     PositionListIndex a = PositionListIndex::FromCodes(
-        encoded.codes(1), encoded.dictionary(1).num_codes());
+        encoded.column_view(1), encoded.dictionary(1).num_codes());
     benchmark::DoNotOptimize(x.G3Error(a));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -11,15 +11,14 @@
 // BENCH_partition.json, including the width-2 sweep speedup at each row
 // count (the acceptance number is the 50k-row entry).
 //
-// Two further axes ride along. The SIMD axis forces the kernels to
-// scalar versus the best host level and checks the outputs are
-// bit-identical; only the bit-parallel low-cardinality counting path is
-// timed (the gather-bound intersect/sweep timings it used to report sat
-// at ~1.0x and were retired). The streaming axis A/Bs the cache
-// refinements — software prefetch in the probe gathers and the
-// radix-partitioned scatter in FromCodes — on a high-cardinality
-// fixture, plus the tiled counting sweep against the cached-PLI
-// extension sweep.
+// Further axes ride along. The SIMD axis forces the kernels to scalar
+// versus the best host level and checks the outputs are bit-identical;
+// only the bit-parallel low-cardinality counting path is timed (the
+// gather-bound intersect/sweep timings it used to report sat at ~1.0x
+// and were retired). The tiled counting sweep is timed against the
+// cached-PLI extension sweep, and the radix-partitioned scatter that
+// FromCodes selects past ~1M codes is timed against a direct scatter
+// written here, which is also the arena it must reproduce.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +31,7 @@
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/simd.h"
+#include "data/code_column.h"
 #include "data/datasets/synthetic.h"
 #include "data/encoded_relation.h"
 #include "data/relation.h"
@@ -110,16 +110,16 @@ LegacyPli LegacyFromCodes(const std::vector<uint32_t>& codes,
 LegacyPli LegacyFromEncoded(const EncodedRelation& relation,
                             const std::vector<size_t>& columns) {
   if (columns.size() == 1) {
-    return LegacyFromCodes(relation.codes(columns[0]),
+    return LegacyFromCodes(relation.column(columns[0]).ToU32(),
                            relation.dictionary(columns[0]).num_codes());
   }
   const size_t n = relation.num_rows();
-  std::vector<uint64_t> ids(relation.codes(columns[0]).begin(),
-                            relation.codes(columns[0]).end());
+  const std::vector<uint32_t> first = relation.column(columns[0]).ToU32();
+  std::vector<uint64_t> ids(first.begin(), first.end());
   uint64_t num_groups = relation.dictionary(columns[0]).num_codes();
   std::unordered_map<uint64_t, uint64_t> remap;
   for (size_t i = 1; i < columns.size(); ++i) {
-    const std::vector<uint32_t>& codes = relation.codes(columns[i]);
+    const std::vector<uint32_t> codes = relation.column(columns[i]).ToU32();
     const uint64_t nc = relation.dictionary(columns[i]).num_codes();
     remap.clear();
     remap.reserve(n);
@@ -268,19 +268,36 @@ double TimeCountingQueries(const std::vector<PositionListIndex>& singles) {
   });
 }
 
-double TimePairIntersects(const std::vector<PositionListIndex>& singles) {
-  IntersectionScratch scratch;
-  return TimeMs([&] {
-    size_t total = 0;
-    for (size_t a = 0; a < singles.size(); ++a) {
-      for (size_t b = 0; b < singles.size(); ++b) {
-        if (a == b) continue;
-        total +=
-            singles[a].Intersect(singles[b], &scratch).num_clusters();
-      }
+// FromCodes without the radix pass: count, give each code occurring
+// twice or more a cluster slot in ascending code order, then scatter the
+// rows in one ascending scan.
+PositionListIndex DirectScatterFromCodes(const std::vector<uint32_t>& codes,
+                                         uint32_t num_codes) {
+  constexpr uint32_t kNoSlot = UINT32_MAX;
+  const size_t n = codes.size();
+  std::vector<uint32_t> counts(num_codes, 0);
+  HistogramCodes(ActiveSimdLevel(),
+                 CodeColumnView{codes.data(), n, CodeWidth::kU32}, num_codes,
+                 counts.data());
+  std::vector<uint32_t> slot(num_codes, kNoSlot);
+  std::vector<uint32_t> offsets = {0};
+  uint32_t total = 0;
+  for (uint32_t code = 0; code < num_codes; ++code) {
+    if (counts[code] < 2) continue;
+    slot[code] = static_cast<uint32_t>(offsets.size() - 1);
+    total += counts[code];
+    offsets.push_back(total);
+  }
+  std::vector<PositionListIndex::Row> rows(total);
+  std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (size_t r = 0; r < n; ++r) {
+    const uint32_t s = slot[codes[r]];
+    if (s != kNoSlot) {
+      rows[cursor[s]++] = static_cast<PositionListIndex::Row>(r);
     }
-    if (total == SIZE_MAX) std::abort();
-  });
+  }
+  return PositionListIndex::FromCsrArrays(std::move(rows), std::move(offsets),
+                                          n);
 }
 
 int Main() {
@@ -288,7 +305,6 @@ int Main() {
   std::vector<BenchRecord> records;
   double speedup_50k = 0.0;
   double tiled_sweep_50k = 0.0;
-  double prefetch_intersect_200k = 0.0;
   double radix_build_4m = 0.0;
   double simd_lowcard_50k = 0.0;
   bool simd_parity_ok = true;
@@ -479,49 +495,16 @@ int Main() {
         {"counting_lowcard", "scalar_kernels", rows, scalar_lowcard_ms});
     records.push_back(
         {"counting_lowcard", "simd_kernels", rows, simd_lowcard_ms});
-
-    // --- streaming axis: probe-gather prefetch A/B --------------------
-    // A high-cardinality fixture (domain ~rows/2) makes the probe-table
-    // gathers cache-miss bound, which is where the software prefetch
-    // earns its keep — the effect only shows once the probe tables
-    // outgrow L2, so the acceptance key is the 200k-row entry. The
-    // prefetch may not change any output.
-    EncodedRelation highcard = EncodedRelation::Encode(
-        std::move(datasets::SyntheticUniform(
-                      rows, /*num_categorical=*/4, /*num_continuous=*/0,
-                      /*domain_size=*/rows / 2, /*seed=*/17))
-            .ValueOrDie());
-    SetStreamingOptsEnabled(false);
-    std::vector<PositionListIndex> plain_singles = WarmSingles(highcard);
-    const std::vector<uint32_t> plain_digest = PairDigest(plain_singles);
-    const double plain_intersect_ms = TimePairIntersects(plain_singles);
-
-    SetStreamingOptsEnabled(true);
-    std::vector<PositionListIndex> stream_singles = WarmSingles(highcard);
-    if (PairDigest(stream_singles) != plain_digest) {
-      std::fprintf(stderr, "streaming parity FAILED: highcard digests\n");
-      simd_parity_ok = false;
-    }
-    const double stream_intersect_ms = TimePairIntersects(stream_singles);
-
-    const double pf = plain_intersect_ms / stream_intersect_ms;
-    if (rows == 200000) prefetch_intersect_200k = pf;
-    std::printf(
-        "  streaming highcard intersect %6.2f -> %6.2f ms (%.2fx)\n\n",
-        plain_intersect_ms, stream_intersect_ms, pf);
-
-    records.push_back(
-        {"intersect_highcard", "no_prefetch", rows, plain_intersect_ms});
-    records.push_back(
-        {"intersect_highcard", "prefetch", rows, stream_intersect_ms});
+    std::printf("\n");
   }
 
   // --- radix scatter A/B: FromCodes at the scale where it engages -----
   // The radix-partitioned scatter only switches on past ~1M distinct
   // codes with n >= 2x codes (below that the direct scatter's cursor
   // tables still fit in cache), so it gets its own fixture: 4M rows over
-  // a 2M-code domain, raw codes with no Relation behind them. The two
-  // paths must produce bit-identical CSR arenas.
+  // a 2M-code domain, raw codes with no Relation behind them, timed
+  // against the direct scatter above. The two must produce bit-identical
+  // CSR arenas.
   {
     const size_t n = 4000000;
     const uint32_t num_codes = 2000000;
@@ -530,14 +513,12 @@ int Main() {
     for (size_t i = 0; i < n; ++i) {
       codes[i] = static_cast<uint32_t>(rng.UniformIndex(num_codes));
     }
-    SetStreamingOptsEnabled(false);
-    PositionListIndex direct = PositionListIndex::FromCodes(codes, num_codes);
+    PositionListIndex direct = DirectScatterFromCodes(codes, num_codes);
     const double direct_ms = TimeMs([&] {
-      if (PositionListIndex::FromCodes(codes, num_codes).num_rows() != n) {
+      if (DirectScatterFromCodes(codes, num_codes).num_rows() != n) {
         std::abort();
       }
     });
-    SetStreamingOptsEnabled(true);
     PositionListIndex radix = PositionListIndex::FromCodes(codes, num_codes);
     if (radix.rows() != direct.rows() ||
         radix.cluster_offsets() != direct.cluster_offsets()) {
@@ -562,8 +543,6 @@ int Main() {
        << ",\n  \"simd_parity\": \""
        << (simd_parity_ok ? "ok" : "MISMATCH")
        << "\",\n  \"tiled_sweep_speedup_50k\": " << tiled_sweep_50k
-       << ",\n  \"prefetch_intersect_speedup_200k\": "
-       << prefetch_intersect_200k
        << ",\n  \"radix_build_speedup_4m\": " << radix_build_4m
        << ",\n  \"simd_lowcard_speedup_50k\": " << simd_lowcard_50k
        << ",\n  \"benchmarks\": [\n";

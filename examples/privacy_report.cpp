@@ -114,9 +114,7 @@ int main(int argc, char** argv) {
               GenerationMethodToString(method).c_str());
   const Schema& schema = audit->metadata.schema;
   for (const RiskMeasureStats& ms : run->measures) {
-    if (!ms.active || ms.estimator == MatchRateEstimator::Instance().name()) {
-      continue;
-    }
+    if (ms.estimator == MatchRateEstimator::Instance().name()) continue;
     for (size_t c = 0; c < ms.mean.size(); ++c) {
       if (ms.rounds[c] == 0) continue;
       std::printf("- `%s` %s/%s: %s\n", schema.attribute(c).name.c_str(),

@@ -77,9 +77,9 @@ double StdDev(const std::vector<double>& xs);
 ///
 /// Folding the same values in the same order produces bit-identical
 /// results regardless of how they were computed, which the experiment
-/// runner relies on for its value-path / code-path parity guarantee:
-/// both paths feed their per-round statistics through this accumulator
-/// in ascending round order.
+/// runner relies on for its thread-count independence and the parity
+/// tests rely on against the boxed-Value reference: both feed per-round
+/// statistics through this accumulator in ascending round order.
 class WelfordAccumulator {
  public:
   void Add(double x);

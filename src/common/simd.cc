@@ -89,32 +89,14 @@ void ScalarHistogramT(const Code* codes, size_t n, uint32_t* counts) {
   for (size_t r = 0; r < n; ++r) ++counts[codes[r]];
 }
 
-// Software-prefetch distance (in gathered elements) for the probe-table
-// gathers. The index stream is sequential but the table accesses are
-// random; issuing the loads this far ahead hides most of the miss
-// latency on large tables and is harmless on small ones. Prefetching
-// never changes the gathered values, so both paths stay bit-identical
-// with and without it.
-constexpr size_t kGatherPrefetchAhead = 16;
-
 void ScalarGatherI32(const int32_t* table, const uint32_t* idx, size_t n,
                      int32_t* out) {
-  const bool prefetch = StreamingOptsEnabled();
-  for (size_t k = 0; k < n; ++k) {
-    if (prefetch && k + kGatherPrefetchAhead < n) {
-      __builtin_prefetch(table + idx[k + kGatherPrefetchAhead]);
-    }
-    out[k] = table[idx[k]];
-  }
+  for (size_t k = 0; k < n; ++k) out[k] = table[idx[k]];
 }
 
 bool ScalarAllGatherEqualI32(const int32_t* table, const uint32_t* idx,
                              size_t n, int32_t expect) {
-  const bool prefetch = StreamingOptsEnabled();
   for (size_t k = 0; k < n; ++k) {
-    if (prefetch && k + kGatherPrefetchAhead < n) {
-      __builtin_prefetch(table + idx[k + kGatherPrefetchAhead]);
-    }
     if (table[idx[k]] != expect) return false;
   }
   return true;
@@ -577,14 +559,8 @@ __attribute__((target("avx2"))) void Avx2EpsilonBallMseBody(
 __attribute__((target("avx2"))) void Avx2GatherI32(const int32_t* table,
                                                    const uint32_t* idx,
                                                    size_t n, int32_t* out) {
-  const bool prefetch = StreamingOptsEnabled();
   size_t k = 0;
   for (; k + 8 <= n; k += 8) {
-    if (prefetch && k + kGatherPrefetchAhead + 8 <= n) {
-      for (size_t j = 0; j < 8; ++j) {
-        __builtin_prefetch(table + idx[k + kGatherPrefetchAhead + j]);
-      }
-    }
     const __m256i vidx =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + k));
     const __m256i vals = _mm256_mask_i32gather_epi32(
@@ -953,18 +929,6 @@ void SetSimdLevelOverride(SimdLevel level) {
 
 void ClearSimdLevelOverride() {
   g_level_override.store(-1, std::memory_order_relaxed);
-}
-
-namespace {
-std::atomic<bool> g_streaming_opts{true};
-}  // namespace
-
-void SetStreamingOptsEnabled(bool enabled) {
-  g_streaming_opts.store(enabled, std::memory_order_relaxed);
-}
-
-bool StreamingOptsEnabled() {
-  return g_streaming_opts.load(std::memory_order_relaxed);
 }
 
 HostInfo QueryHostInfo() {

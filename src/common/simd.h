@@ -77,15 +77,6 @@ void SetSimdLevelOverride(SimdLevel level);
 /// Removes the override installed by SetSimdLevelOverride.
 void ClearSimdLevelOverride();
 
-/// Bench hook: enables/disables the cache-streaming refinements — the
-/// software prefetch in the probe-table gather kernels and the
-/// radix-partitioned scatter in PositionListIndex::FromCodes — so the
-/// partition bench can A/B them in one process. Neither refinement
-/// changes any output, only timing. Enabled by default; must not be
-/// flipped while kernels are running on other threads.
-void SetStreamingOptsEnabled(bool enabled);
-bool StreamingOptsEnabled();
-
 // --- Host observability --------------------------------------------------
 
 /// Host CPU description for bench metadata: model string from

@@ -1,6 +1,7 @@
 #include "data/csv_loader.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 
 #include "common/csv.h"
@@ -80,9 +81,14 @@ Result<Relation> LoadCsvRelation(std::string_view text,
         case DataType::kInt64:
           columns[c].push_back(Value::Int(*ParseInt64(field)));
           break;
-        case DataType::kDouble:
-          columns[c].push_back(Value::Real(*ParseDouble(field)));
+        case DataType::kDouble: {
+          // NaN has no place in Value's order (Encode sorts and
+          // binary-searches each column), so a "nan" cell loads as NULL.
+          const double x = *ParseDouble(field);
+          columns[c].push_back(std::isnan(x) ? Value::Null()
+                                             : Value::Real(x));
           break;
+        }
         case DataType::kString:
           columns[c].push_back(Value::Str(std::string(Trim(field))));
           break;

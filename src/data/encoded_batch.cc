@@ -67,6 +67,17 @@ std::vector<EncodedBatch::ColumnKind> ColumnKindsForDomains(
   return kinds;
 }
 
+bool DomainCodeOf(const std::vector<Value>& domain, const Value& v,
+                  uint32_t* code) {
+  for (size_t i = 0; i < domain.size(); ++i) {
+    if (domain[i] == v) {
+      *code = static_cast<uint32_t>(i) + 1;
+      return true;
+    }
+  }
+  return false;
+}
+
 Result<Relation> MaterializeRelation(const Schema& schema,
                                      const std::vector<Domain>& domains,
                                      const EncodedBatch& batch) {
@@ -98,9 +109,8 @@ Result<Relation> MaterializeRelation(const Schema& schema,
     }
   }
 
-  // Same physical-type relaxation as the value-path generator: generated
-  // values are domain samples, so continuous attributes become doubles
-  // regardless of the disclosed physical type.
+  // Generated values are domain samples, so continuous attributes
+  // become doubles regardless of the disclosed physical type.
   std::vector<Attribute> attrs = schema.attributes();
   for (size_t c = 0; c < m; ++c) {
     bool has_double = false;

@@ -107,13 +107,20 @@ std::vector<CodeWidth> CodeWidthsForDomains(const std::vector<Domain>& domains);
 std::vector<EncodedBatch::ColumnKind> ColumnKindsForDomains(
     const std::vector<Domain>& domains);
 
-/// Decodes a batch into a boxed-Value Relation over `schema`, applying
-/// the same physical-type relaxation the value-path generator performs
-/// (continuous domains produce doubles regardless of the disclosed
-/// type; mixed int/double columns coerce to double). `domains` must be
-/// the generation domains the batch was coded against. This is the
-/// adapter boundary: Relation-returning public APIs call it once after
-/// the encoded generators finish.
+/// The batch code of `v` in a categorical generation domain: i+1 for
+/// the entry domain.values()[i] structurally equal to `v`. False when no
+/// entry equals it. Generation domains are deduplicated and NaN-free
+/// (GenerationContext::Build), so at most one entry matches.
+bool DomainCodeOf(const std::vector<Value>& domain, const Value& v,
+                  uint32_t* code);
+
+/// Decodes a batch into a boxed-Value Relation over `schema`, relaxing
+/// physical types to what generation produces (continuous domains
+/// produce doubles regardless of the disclosed type; mixed int/double
+/// columns coerce to double). `domains` must be the generation domains
+/// the batch was coded against. This is the adapter boundary:
+/// Relation-returning public APIs call it once after the encoded
+/// generators finish.
 Result<Relation> MaterializeRelation(const Schema& schema,
                                      const std::vector<Domain>& domains,
                                      const EncodedBatch& batch);

@@ -65,17 +65,20 @@ bool ValueLt(const Value& a, const Value& b) { return a < b; }
 // the sort-by-(lhs, rhs) the Value path performs — on plain integers.
 std::vector<uint64_t> SortedCodePairs(const EncodedRelation& relation,
                                       size_t lhs, size_t rhs) {
-  const std::vector<uint32_t>& x = relation.codes(lhs);
-  const std::vector<uint32_t>& y = relation.codes(rhs);
+  const size_t n = relation.num_rows();
   std::vector<uint64_t> pairs;
-  pairs.reserve(x.size());
-  for (size_t r = 0; r < x.size(); ++r) {
-    if (x[r] == ColumnDictionary::kNullCode ||
-        y[r] == ColumnDictionary::kNullCode) {
-      continue;
-    }
-    pairs.push_back((static_cast<uint64_t>(x[r]) << 32) | y[r]);
-  }
+  pairs.reserve(n);
+  relation.column(lhs).With([&](const auto* x) {
+    relation.column(rhs).With([&](const auto* y) {
+      for (size_t r = 0; r < n; ++r) {
+        if (x[r] == ColumnDictionary::kNullCode ||
+            y[r] == ColumnDictionary::kNullCode) {
+          continue;
+        }
+        pairs.push_back((static_cast<uint64_t>(x[r]) << 32) | y[r]);
+      }
+    });
+  });
   std::sort(pairs.begin(), pairs.end());
   return pairs;
 }
@@ -169,21 +172,21 @@ std::vector<uint32_t> SortedCodeTuples(const EncodedRelation& relation,
                                        size_t rhs, size_t* width_out) {
   const size_t width = lhs.size() + 1;
   *width_out = width;
-  std::vector<const std::vector<uint32_t>*> cols;
+  std::vector<CodeColumnView> cols;
   cols.reserve(width);
-  for (size_t a : lhs) cols.push_back(&relation.codes(a));
-  cols.push_back(&relation.codes(rhs));
+  for (size_t a : lhs) cols.push_back(relation.column_view(a));
+  cols.push_back(relation.column_view(rhs));
   std::vector<uint32_t> flat;
   for (size_t r = 0; r < relation.num_rows(); ++r) {
     bool keep = true;
-    for (const auto* c : cols) {
-      if ((*c)[r] == ColumnDictionary::kNullCode) {
+    for (const CodeColumnView& c : cols) {
+      if (c.at(r) == ColumnDictionary::kNullCode) {
         keep = false;
         break;
       }
     }
     if (!keep) continue;
-    for (const auto* c : cols) flat.push_back((*c)[r]);
+    for (const CodeColumnView& c : cols) flat.push_back(c.at(r));
   }
   const size_t n = flat.size() / width;
   std::vector<size_t> order(n);
@@ -366,22 +369,27 @@ Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
   };
   const std::vector<double> xt = numeric_table(lhs);
   const std::vector<double> yt = numeric_table(rhs);
-  const std::vector<uint32_t>& x = relation.codes(lhs);
-  const std::vector<uint32_t>& y = relation.codes(rhs);
+  const size_t n = relation.num_rows();
   std::vector<std::pair<double, double>> pts;
-  pts.reserve(x.size());
-  for (size_t r = 0; r < x.size(); ++r) {
-    if (x[r] == ColumnDictionary::kNullCode ||
-        y[r] == ColumnDictionary::kNullCode) {
-      continue;
-    }
-    double xv = xt[x[r]];
-    double yv = yt[y[r]];
-    if (std::isnan(xv) || std::isnan(yv)) {
-      return Status::TypeError(
-          "differential dependencies require numeric attributes");
-    }
-    pts.emplace_back(xv, yv);
+  pts.reserve(n);
+  const bool numeric = relation.column(lhs).With([&](const auto* x) {
+    return relation.column(rhs).With([&](const auto* y) {
+      for (size_t r = 0; r < n; ++r) {
+        if (x[r] == ColumnDictionary::kNullCode ||
+            y[r] == ColumnDictionary::kNullCode) {
+          continue;
+        }
+        double xv = xt[x[r]];
+        double yv = yt[y[r]];
+        if (std::isnan(xv) || std::isnan(yv)) return false;
+        pts.emplace_back(xv, yv);
+      }
+      return true;
+    });
+  });
+  if (!numeric) {
+    return Status::TypeError(
+        "differential dependencies require numeric attributes");
   }
   return MinimalDeltaOverPoints(std::move(pts), eps);
 }
@@ -426,25 +434,25 @@ Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
   // the window.
   const size_t width = xs.size() + 1;
   std::vector<std::vector<double>> tables;
-  std::vector<const std::vector<uint32_t>*> cols;
+  std::vector<CodeColumnView> cols;
   for (size_t a : xs) {
     tables.push_back(numeric_table(a));
-    cols.push_back(&relation.codes(a));
+    cols.push_back(relation.column_view(a));
   }
   tables.push_back(numeric_table(rhs));
-  cols.push_back(&relation.codes(rhs));
+  cols.push_back(relation.column_view(rhs));
   std::vector<double> flat;
   for (size_t r = 0; r < relation.num_rows(); ++r) {
     bool keep = true;
-    for (const auto* c : cols) {
-      if ((*c)[r] == ColumnDictionary::kNullCode) {
+    for (const CodeColumnView& c : cols) {
+      if (c.at(r) == ColumnDictionary::kNullCode) {
         keep = false;
         break;
       }
     }
     if (!keep) continue;
     for (size_t k = 0; k < width; ++k) {
-      double v = tables[k][(*cols[k])[r]];
+      double v = tables[k][cols[k].at(r)];
       if (std::isnan(v)) {
         return Status::TypeError(
             "differential dependencies require numeric attributes");

@@ -10,21 +10,21 @@
 #ifndef METALEAK_GENERATION_CFD_GENERATOR_H_
 #define METALEAK_GENERATION_CFD_GENERATOR_H_
 
-#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "common/result.h"
 #include "data/domain.h"
 #include "data/encoded_batch.h"
-#include "data/relation.h"
 #include "metadata/conditional_fd.h"
 
 namespace metaleak {
 
-/// Returns a repaired copy of `relation` where the disclosed CFDs hold.
-/// `domains` supplies the sampling space for the variable-CFD mappings
-/// and must be parallel to the schema.
+/// Chase rules pre-resolved against an EncodedBatch layout: condition
+/// values and constant RHS values are translated to codes / raw doubles
+/// once, and per-code Value hashes are tabulated so the variable-CFD
+/// mapping keys are an FNV fold of Value::Hash, exactly as over boxed
+/// Values (even hash *collisions* repeat exactly).
 ///
 /// Repair is a bounded chase with single-writer cells (constant CFDs
 /// take priority over variable ones on the same cell). A single CFD, or
@@ -32,19 +32,6 @@ namespace metaleak {
 /// densely interacting mined sets are repaired best-effort — exact
 /// satisfaction of an arbitrary CFD set on fresh data is a
 /// constraint-satisfaction problem the adversary has no reason to solve.
-Result<Relation> ApplyCfds(const Relation& relation,
-                           const std::vector<ConditionalFd>& cfds,
-                           const std::vector<Domain>& domains, Rng* rng);
-
-/// Chase rules pre-resolved against an EncodedBatch layout: condition
-/// values and constant RHS values are translated to codes / raw doubles
-/// once, and per-code Value hashes are tabulated so the variable-CFD
-/// mapping keys come out identical to the value path's (the mapping is
-/// keyed by an FNV fold of Value::Hash, so even hash *collisions* repeat
-/// exactly). supported() is false when the batch cannot represent the
-/// chase bit-for-bit — e.g. a constant outside its column's domain, or a
-/// domain whose mixed value types would trigger the value path's
-/// data-dependent type coercion; callers then fall back to ApplyCfds.
 class EncodedCfdPlan {
  public:
   struct Rule {
@@ -53,8 +40,7 @@ class EncodedCfdPlan {
     std::vector<size_t> lhs;
     bool rhs_is_constant = false;
     /// Condition value unrepresentable in the condition column: the rule
-    /// can never fire (same observable behavior as the value path, which
-    /// compares it against every cell and never matches).
+    /// can never fire (it would compare unequal to every cell).
     bool never_fires = false;
     bool condition_is_code = false;
     uint32_t condition_code = 0;
@@ -70,8 +56,6 @@ class EncodedCfdPlan {
   /// Rule application order: constants first, then variables.
   const std::vector<size_t>& order() const { return order_; }
   size_t num_columns() const { return kinds_.size(); }
-  bool supported() const { return supported_; }
-  const std::string& fallback_reason() const { return fallback_reason_; }
 
  private:
   friend Result<EncodedCfdPlan> BuildEncodedCfdPlan(
@@ -84,22 +68,21 @@ class EncodedCfdPlan {
   std::vector<size_t> order_;
   std::vector<EncodedBatch::ColumnKind> kinds_;
   std::vector<std::vector<size_t>> hash_by_code_;  // per code-stored column
-  bool supported_ = true;
-  std::string fallback_reason_;
 };
 
 /// Resolves `cfds` against the batch layout implied by `domains`/`kinds`.
-/// Hard validation failures (attribute out of range, domains not parallel
-/// to the layout) return the same Status ApplyCfds would; mere
-/// representability problems clear plan.supported() instead.
+/// OutOfRange for an attribute out of range; Invalid when the domains are
+/// not parallel to the layout, when a code-stored domain mixes value
+/// types (ints with doubles, or strings with numbers), or when a constant
+/// RHS does not fit its column (a value outside a categorical domain, or
+/// anything but a non-NaN double on a continuous column).
 Result<EncodedCfdPlan> BuildEncodedCfdPlan(
     const std::vector<ConditionalFd>& cfds,
     const std::vector<Domain>& domains,
     const std::vector<EncodedBatch::ColumnKind>& kinds);
 
-/// Runs the bounded chase of ApplyCfds directly on batch codes/doubles,
-/// consuming the RNG in the identical order. Invalid when the plan is
-/// unsupported or the batch layout does not match.
+/// Runs the bounded chase on batch codes/doubles. Invalid when the batch
+/// layout does not match the plan.
 Status ApplyCfdsEncoded(const EncodedCfdPlan& plan, EncodedBatch* batch,
                         Rng* rng);
 

@@ -11,284 +11,6 @@ namespace metaleak {
 
 namespace {
 
-// Sorted distinct values of a column (Value total order).
-std::vector<Value> SortedDistinct(const std::vector<Value>& column) {
-  std::vector<Value> vals = column;
-  std::sort(vals.begin(), vals.end());
-  vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
-  return vals;
-}
-
-// Local dictionary encoding of one generated column: codes[r] is the rank
-// of column[r] among the sorted distinct values. Pools and mappings below
-// index vectors by these dense codes instead of hashing `Value`s.
-std::vector<uint32_t> EncodeByRank(const std::vector<Value>& column,
-                                   const std::vector<Value>& distinct) {
-  std::vector<uint32_t> codes;
-  codes.reserve(column.size());
-  for (const Value& v : column) {
-    codes.push_back(static_cast<uint32_t>(
-        std::lower_bound(distinct.begin(), distinct.end(), v) -
-        distinct.begin()));
-  }
-  return codes;
-}
-
-// Folds the per-column codes of a composite LHS into one dense group id
-// per row (same fold as PositionListIndex::FromEncoded). The empty LHS
-// (constant FD {} -> A) yields a single group. Group ids are numbered by
-// first occurrence in row order, so lazy sampling keyed by id draws from
-// the RNG in exactly the row-scan order the Value-hash path used.
-std::pair<std::vector<uint32_t>, uint32_t> FoldLhsGroups(
-    const std::vector<const std::vector<Value>*>& lhs_columns,
-    size_t num_rows) {
-  std::vector<uint32_t> ids(num_rows, 0);
-  uint32_t num_groups = 1;
-  for (const std::vector<Value>* col : lhs_columns) {
-    std::vector<Value> distinct = SortedDistinct(*col);
-    std::vector<uint32_t> codes = EncodeByRank(*col, distinct);
-    std::unordered_map<uint64_t, uint32_t> remap;
-    remap.reserve(num_rows);
-    for (size_t r = 0; r < num_rows; ++r) {
-      uint64_t key = static_cast<uint64_t>(ids[r]) * distinct.size() +
-                     codes[r];
-      auto it = remap.emplace(key, static_cast<uint32_t>(remap.size()))
-                    .first;
-      ids[r] = it->second;
-    }
-    num_groups = static_cast<uint32_t>(remap.size());
-  }
-  return {std::move(ids), num_groups};
-}
-
-// `count` non-decreasing order statistics over `domain`.
-std::vector<Value> SortedSamples(const Domain& domain, size_t count,
-                                 Rng* rng) {
-  std::vector<Value> out;
-  out.reserve(count);
-  if (domain.is_continuous()) {
-    std::vector<double> xs(count);
-    for (double& x : xs) x = rng->UniformDouble(domain.lo(), domain.hi());
-    std::sort(xs.begin(), xs.end());
-    for (double x : xs) out.push_back(Value::Real(x));
-    return out;
-  }
-  const std::vector<Value>& vals = domain.values();
-  METALEAK_DCHECK(!vals.empty());
-  std::vector<size_t> idx(count);
-  for (size_t& i : idx) i = rng->UniformIndex(vals.size());
-  std::sort(idx.begin(), idx.end());
-  for (size_t i : idx) out.push_back(vals[i]);
-  return out;
-}
-
-// `count` strictly increasing values where possible (see header).
-std::vector<Value> StrictSortedSamples(const Domain& domain, size_t count,
-                                       Rng* rng) {
-  if (domain.is_continuous()) {
-    // Continuous uniforms are distinct almost surely; re-draw collisions.
-    std::vector<double> xs(count);
-    for (double& x : xs) x = rng->UniformDouble(domain.lo(), domain.hi());
-    std::sort(xs.begin(), xs.end());
-    std::vector<Value> out;
-    out.reserve(count);
-    for (double x : xs) out.push_back(Value::Real(x));
-    return out;
-  }
-  const std::vector<Value>& vals = domain.values();
-  if (vals.size() >= count) {
-    std::vector<size_t> picked = rng->SampleWithoutReplacement(vals.size(),
-                                                               count);
-    std::sort(picked.begin(), picked.end());
-    std::vector<Value> out;
-    out.reserve(count);
-    for (size_t i : picked) out.push_back(vals[i]);
-    return out;
-  }
-  // Domain too small for a strict walk: forced transitions collapse to the
-  // non-decreasing assignment.
-  return SortedSamples(domain, count, rng);
-}
-
-}  // namespace
-
-std::vector<Value> GenerateRootColumn(const Domain& domain, size_t num_rows,
-                                      Rng* rng) {
-  METALEAK_DCHECK(rng != nullptr);
-  std::vector<Value> out;
-  out.reserve(num_rows);
-  for (size_t r = 0; r < num_rows; ++r) out.push_back(domain.Sample(rng));
-  return out;
-}
-
-std::vector<Value> GenerateFdColumn(
-    const std::vector<const std::vector<Value>*>& lhs_columns,
-    const Domain& domain, size_t num_rows, Rng* rng) {
-  METALEAK_DCHECK(rng != nullptr);
-  std::vector<Value> out;
-  out.reserve(num_rows);
-  auto [ids, num_groups] = FoldLhsGroups(lhs_columns, num_rows);
-  // One lazily-sampled target per LHS group, indexed by dense group id.
-  std::vector<Value> mapping(num_groups, Value::Null());
-  std::vector<bool> sampled(num_groups, false);
-  for (size_t r = 0; r < num_rows; ++r) {
-    uint32_t id = ids[r];
-    if (!sampled[id]) {
-      mapping[id] = domain.Sample(rng);
-      sampled[id] = true;
-    }
-    out.push_back(mapping[id]);
-  }
-  return out;
-}
-
-std::vector<Value> GenerateAfdColumn(
-    const std::vector<const std::vector<Value>*>& lhs_columns,
-    const Domain& domain, size_t num_rows, double g3_error, Rng* rng) {
-  std::vector<Value> out =
-      GenerateFdColumn(lhs_columns, domain, num_rows, rng);
-  // The epsilon fraction of correctly-scattered violations (Section IV-A):
-  // re-drawn rows are independent of the mapping.
-  for (size_t r = 0; r < num_rows; ++r) {
-    if (rng->Bernoulli(std::clamp(g3_error, 0.0, 1.0))) {
-      out[r] = domain.Sample(rng);
-    }
-  }
-  return out;
-}
-
-std::vector<Value> GenerateNdColumn(const std::vector<Value>& lhs_column,
-                                    const Domain& domain, size_t num_rows,
-                                    size_t max_fanout, Rng* rng) {
-  METALEAK_DCHECK(rng != nullptr);
-  METALEAK_DCHECK(lhs_column.size() == num_rows);
-  size_t k = std::max<size_t>(1, max_fanout);
-  std::vector<Value> distinct = SortedDistinct(lhs_column);
-  std::vector<uint32_t> codes = EncodeByRank(lhs_column, distinct);
-  // Per-LHS-value pools in one flat arena with constant stride: every
-  // pool has the same size (min(k, |Dom(Y)|) when categorical, k
-  // otherwise), so pool i is pools[i*take, (i+1)*take). Pools fill
-  // lazily in row-scan order, so RNG consumption is identical to the
-  // per-pool-vector layout this replaces.
-  const size_t take = domain.is_categorical()
-                          ? std::min(k, domain.values().size())
-                          : k;
-  std::vector<Value> pools(distinct.size() * take, Value::Null());
-  std::vector<char> filled(distinct.size(), 0);
-  std::vector<Value> out;
-  out.reserve(num_rows);
-  for (size_t r = 0; r < num_rows; ++r) {
-    const uint32_t code = codes[r];
-    Value* pool = pools.data() + code * take;
-    if (!filled[code]) {
-      filled[code] = 1;
-      if (domain.is_categorical()) {
-        const std::vector<Value>& vals = domain.values();
-        // Sampling without replacement from Dom(Y): the hyper-geometric
-        // selection in the paper's ND analysis.
-        size_t j = 0;
-        for (size_t i : rng->SampleWithoutReplacement(vals.size(), take)) {
-          pool[j++] = vals[i];
-        }
-      } else {
-        for (size_t i = 0; i < take; ++i) pool[i] = domain.Sample(rng);
-      }
-    }
-    out.push_back(pool[rng->UniformIndex(take)]);
-  }
-  return out;
-}
-
-namespace {
-
-std::vector<Value> GenerateOrderedColumn(const std::vector<Value>& lhs_column,
-                                         const Domain& domain,
-                                         size_t num_rows, bool strict,
-                                         Rng* rng) {
-  METALEAK_DCHECK(rng != nullptr);
-  METALEAK_DCHECK(lhs_column.size() == num_rows);
-  std::vector<Value> distinct = SortedDistinct(lhs_column);
-  std::vector<Value> targets =
-      strict ? StrictSortedSamples(domain, distinct.size(), rng)
-             : SortedSamples(domain, distinct.size(), rng);
-  // Map the i-th smallest LHS value to the i-th order statistic: this is
-  // exactly the interval-partition assignment of Section IV-C and keeps
-  // the order dependency satisfied by construction. The rank codes *are*
-  // the mapping — targets is indexed directly by code.
-  std::vector<uint32_t> codes = EncodeByRank(lhs_column, distinct);
-  std::vector<Value> out;
-  out.reserve(num_rows);
-  for (uint32_t code : codes) out.push_back(targets[code]);
-  return out;
-}
-
-}  // namespace
-
-std::vector<Value> GenerateOdColumn(const std::vector<Value>& lhs_column,
-                                    const Domain& domain, size_t num_rows,
-                                    Rng* rng) {
-  return GenerateOrderedColumn(lhs_column, domain, num_rows,
-                               /*strict=*/false, rng);
-}
-
-std::vector<Value> GenerateOfdColumn(const std::vector<Value>& lhs_column,
-                                     const Domain& domain, size_t num_rows,
-                                     Rng* rng) {
-  return GenerateOrderedColumn(lhs_column, domain, num_rows,
-                               /*strict=*/true, rng);
-}
-
-Result<std::vector<Value>> GenerateDdColumn(
-    const std::vector<Value>& lhs_column, const Domain& domain,
-    size_t num_rows, double lhs_epsilon, double rhs_delta, Rng* rng) {
-  METALEAK_DCHECK(rng != nullptr);
-  if (domain.is_categorical()) {
-    return Status::TypeError(
-        "differential generation requires a continuous target domain");
-  }
-  if (lhs_column.size() != num_rows) {
-    return Status::Invalid("LHS column size mismatch");
-  }
-  // Order rows by LHS value; walk the chain generating each RHS relative
-  // to its predecessor when the LHS values are proximal (Markov process).
-  std::vector<size_t> order(num_rows);
-  for (size_t i = 0; i < num_rows; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return lhs_column[a] < lhs_column[b];
-  });
-
-  std::vector<Value> out(num_rows);
-  double prev_x = 0.0;
-  double prev_y = 0.0;
-  bool has_prev = false;
-  for (size_t pos = 0; pos < num_rows; ++pos) {
-    size_t row = order[pos];
-    double x = lhs_column[row].is_numeric() ? lhs_column[row].AsNumeric()
-                                            : 0.0;
-    double y;
-    if (has_prev && std::abs(x - prev_x) <= lhs_epsilon) {
-      double lo = std::max(domain.lo(), prev_y - rhs_delta);
-      double hi = std::min(domain.hi(), prev_y + rhs_delta);
-      if (lo > hi) {
-        lo = domain.lo();
-        hi = domain.hi();
-      }
-      y = rng->UniformDouble(lo, hi);
-    } else {
-      y = rng->UniformDouble(domain.lo(), domain.hi());
-    }
-    out[row] = Value::Real(y);
-    prev_x = x;
-    prev_y = y;
-    has_prev = true;
-  }
-  return out;
-}
-
-// --- Encoded (code-path) generators --------------------------------------
-
-namespace {
-
 // Per-thread scratch for the encoded generators. The Monte-Carlo loop
 // calls these thousands of times; reusing the arenas makes every call
 // after the first allocation-free (same idiom as the PliCache scratch).
@@ -317,8 +39,8 @@ EncodedScratch& Scratch() {
 // Rank-compresses one already-generated batch column into s.ranks:
 // ranks[r] is the rank of row r's value among the column's distinct
 // values, ascending. Codes are assigned in ascending Value order, so
-// ranking codes (or raw doubles) reproduces EncodeByRank(SortedDistinct)
-// on the decoded column exactly. Returns the distinct count.
+// ranking codes (or raw doubles) ranks the decoded Values exactly.
+// Returns the distinct count.
 uint32_t RankEncodedColumn(const EncodedBatch& batch, size_t col,
                            size_t num_rows, EncodedScratch& s) {
   s.ranks.resize(num_rows);
@@ -357,9 +79,12 @@ uint32_t RankEncodedColumn(const EncodedBatch& batch, size_t col,
   return static_cast<uint32_t>(s.sorted_reals.size());
 }
 
-// FoldLhsGroups on batch columns: same fold, same first-occurrence group
-// numbering, so lazy sampling keyed by id hits the RNG in identical
-// row-scan order. Result lands in s.ids; returns the group count.
+// Folds the per-column ranks of a composite LHS into one dense group id
+// per row (same fold as PositionListIndex::FromEncoded). The empty LHS
+// (constant FD {} -> A) yields a single group. Group ids are numbered by
+// first occurrence in row order, so lazy sampling keyed by id draws from
+// the RNG in row-scan order. Result lands in s.ids; returns the group
+// count.
 uint32_t FoldLhsGroupsEncoded(const EncodedBatch& batch,
                               const std::vector<size_t>& lhs_columns,
                               size_t num_rows, EncodedScratch& s) {
@@ -381,7 +106,8 @@ uint32_t FoldLhsGroupsEncoded(const EncodedBatch& batch,
   return num_groups;
 }
 
-// SortedSamples into s.target_codes / s.target_reals.
+// `count` non-decreasing order statistics over `domain`, into
+// s.target_codes / s.target_reals.
 void SortedSamplesEncoded(const Domain& domain, size_t count, Rng* rng,
                           EncodedScratch& s) {
   if (domain.is_continuous()) {
@@ -403,7 +129,10 @@ void SortedSamplesEncoded(const Domain& domain, size_t count, Rng* rng,
   }
 }
 
-// StrictSortedSamples into s.target_codes / s.target_reals.
+// `count` strictly increasing values where the domain permits, into
+// s.target_codes / s.target_reals. A categorical domain too small for a
+// strict walk collapses to the non-decreasing assignment (forced
+// transitions).
 void StrictSortedSamplesEncoded(const Domain& domain, size_t count,
                                 Rng* rng, EncodedScratch& s) {
   if (domain.is_continuous()) {

@@ -24,7 +24,9 @@
 //     domain (Section IV-E).
 //
 // All functions assume uniform distributions — the paper's fundamental
-// assumption that value distributions are not disclosed.
+// assumption that value distributions are not disclosed. Their RNG draw
+// order is part of the contract: the boxed-Value reference the
+// golden-parity tests keep consumes the RNG identically.
 #ifndef METALEAK_GENERATION_COLUMN_GENERATORS_H_
 #define METALEAK_GENERATION_COLUMN_GENERATORS_H_
 
@@ -34,68 +36,18 @@
 #include "common/result.h"
 #include "data/domain.h"
 #include "data/encoded_batch.h"
-#include "data/value.h"
 
 namespace metaleak {
 
-/// i.i.d. uniform draws from `domain` (random generation baseline).
-std::vector<Value> GenerateRootColumn(const Domain& domain, size_t num_rows,
-                                      Rng* rng);
-
-/// FD lhs -> target: one random mapping per distinct LHS key. `lhs_columns`
-/// holds the already generated LHS columns (possibly several for a
-/// composite LHS; an empty list models the constant-column FD {} -> A).
-std::vector<Value> GenerateFdColumn(
-    const std::vector<const std::vector<Value>*>& lhs_columns,
-    const Domain& domain, size_t num_rows, Rng* rng);
-
-/// AFD: FD process + `g3_error` fraction of rows re-drawn independently.
-std::vector<Value> GenerateAfdColumn(
-    const std::vector<const std::vector<Value>*>& lhs_columns,
-    const Domain& domain, size_t num_rows, double g3_error, Rng* rng);
-
-/// ND lhs ->(<=K) target: per distinct LHS value a pool of up to
-/// `max_fanout` distinct domain values; rows draw uniformly from the pool.
-/// Continuous domains draw the pool i.i.d. (a.s. distinct).
-std::vector<Value> GenerateNdColumn(const std::vector<Value>& lhs_column,
-                                    const Domain& domain, size_t num_rows,
-                                    size_t max_fanout, Rng* rng);
-
-/// OD lhs -> target: distinct LHS values (by Value order) are mapped to
-/// non-decreasing order statistics over the target domain.
-std::vector<Value> GenerateOdColumn(const std::vector<Value>& lhs_column,
-                                    const Domain& domain, size_t num_rows,
-                                    Rng* rng);
-
-/// OFD lhs -> target: like OD but strictly increasing where the domain
-/// permits (categorical domains smaller than the LHS distinct count fall
-/// back to non-decreasing, mirroring the forced transitions the paper
-/// describes for exhausted partitions).
-std::vector<Value> GenerateOfdColumn(const std::vector<Value>& lhs_column,
-                                     const Domain& domain, size_t num_rows,
-                                     Rng* rng);
-
-/// DD: Markov interval process along the LHS order; rows whose LHS is
-/// within `lhs_epsilon` of the previous row draw from a `rhs_delta` ball
-/// around the previous RHS value. Requires a continuous target domain.
-Result<std::vector<Value>> GenerateDdColumn(
-    const std::vector<Value>& lhs_column, const Domain& domain,
-    size_t num_rows, double lhs_epsilon, double rhs_delta, Rng* rng);
-
-/// --- Encoded (code-path) generators ------------------------------------
-///
-/// Mirrors of the generators above that emit dense domain codes
-/// (categorical domains: code i+1 means domain.values()[i], code 0 is
-/// NULL) or raw doubles (continuous domains) straight into an
-/// EncodedBatch column. Each mirror consumes the RNG in *exactly* the
-/// same sequence as its boxed-Value twin, so decoding the batch
-/// reproduces the Value column bit for bit. The batch must be
-/// Configure()d with ColumnKindsForDomains of the generation domains and
-/// ResetRows() to `num_rows` before any generator runs; LHS columns are
-/// read back out of the same batch by index. Internal scratch (rank
-/// maps, group ids, ND pools) is thread-local and reused across calls,
-/// which is what makes the Monte-Carlo loop allocation-free after the
-/// first round on each worker thread.
+/// Every generator emits dense domain codes (categorical domains: code
+/// i+1 means domain.values()[i], code 0 is NULL) or raw doubles
+/// (continuous domains) straight into an EncodedBatch column. The batch
+/// must be Configure()d with ColumnKindsForDomains of the generation
+/// domains and ResetRows() to `num_rows` before any generator runs; LHS
+/// columns are read back out of the same batch by index. Internal
+/// scratch (rank maps, group ids, ND pools) is thread-local and reused
+/// across calls, which is what makes the Monte-Carlo loop
+/// allocation-free after the first round on each worker thread.
 
 /// Root: i.i.d. uniform draws from the domain.
 void GenerateRootColumnEncoded(const Domain& domain, size_t num_rows,
@@ -132,8 +84,8 @@ void GenerateOfdColumnEncoded(size_t lhs_column, const Domain& domain,
 /// DD: Markov interval process. `lhs_code_numeric` is the per-code
 /// numeric view of the LHS column's domain (code -> AsNumeric, 0.0 for
 /// non-numeric entries) when the LHS is code-stored; unused for a
-/// real-stored LHS. TypeError for a categorical target domain, exactly
-/// like the Value twin (the engine falls back to a root draw).
+/// real-stored LHS. TypeError for a categorical target domain (the
+/// engine draws such a column from its domain instead).
 Status GenerateDdColumnEncoded(size_t lhs_column, const Domain& domain,
                                const std::vector<double>& lhs_code_numeric,
                                size_t num_rows, double lhs_epsilon,

@@ -1,5 +1,8 @@
 #include "generation/generation_engine.h"
 
+#include <algorithm>
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/macros.h"
@@ -9,21 +12,14 @@ namespace metaleak {
 
 namespace {
 
-// Maps one frequency-table value to its domain code: the unique domain
-// entry that equals it structurally. Returns 0 (never a valid non-null
-// frequency code unless the domain holds NULL itself at another slot)
-// via the `ok` flag when the value maps to zero or several entries.
-bool MapDistValueToCode(const Value& v, const std::vector<Value>& domain,
-                        uint32_t* code) {
-  bool found = false;
-  for (size_t i = 0; i < domain.size(); ++i) {
-    if (domain[i] == v) {
-      if (found) return false;  // ambiguous
-      found = true;
-      *code = static_cast<uint32_t>(i) + 1;
-    }
-  }
-  return found;
+bool IsNan(const Value& v) {
+  return v.is_double() && std::isnan(v.AsDouble());
+}
+
+// Invalid naming `reason` and the attribute it was found on.
+Status Reject(const char* reason, const Schema& schema, size_t attribute) {
+  return Status::Invalid(std::string(reason) + " (attribute '" +
+                         schema.attribute(attribute).name + "')");
 }
 
 }  // namespace
@@ -62,6 +58,15 @@ Result<GenerationContext> GenerationContext::Build(
   METALEAK_ASSIGN_OR_RETURN(ctx.domains_, metadata.RequireDomains());
   ctx.schema_ = metadata.schema;
   const size_t m = metadata.schema.num_attributes();
+  // NaN breaks Value's strict weak order, so a categorical domain
+  // holding it could keep duplicate entries and cannot map values to one
+  // code.
+  for (size_t c = 0; c < m; ++c) {
+    const std::vector<Value>& values = ctx.domains_[c].values();
+    if (std::any_of(values.begin(), values.end(), IsNan)) {
+      return Reject("NaN in a generation domain", ctx.schema_, c);
+    }
+  }
 
   DependencySet usable;
   if (!options.ignore_dependencies) {
@@ -100,37 +105,26 @@ Result<GenerationContext> GenerationContext::Build(
     DistSampler sampler;
     if (ctx.kinds_[target] == EncodedBatch::ColumnKind::kCodes) {
       if (!dist.is_categorical()) {
-        ctx.encodable_ = false;
-        ctx.fallback_reason_ =
-            "continuous distribution over a categorical domain";
-        continue;
+        return Reject("continuous distribution over a categorical domain",
+                      ctx.schema_, target);
       }
       const FrequencyTable& freq = dist.frequency_table();
       sampler.categorical = true;
       sampler.counts = freq.counts;
       sampler.total = freq.total();
       sampler.codes.reserve(freq.values.size());
-      bool supported = true;
       for (const Value& v : freq.values) {
         uint32_t code = 0;
-        if (!MapDistValueToCode(v, ctx.domains_[target].values(), &code)) {
-          supported = false;
-          break;
+        if (!DomainCodeOf(ctx.domains_[target].values(), v, &code)) {
+          return Reject("distribution support does not map into the domain",
+                        ctx.schema_, target);
         }
         sampler.codes.push_back(code);
       }
-      if (!supported) {
-        ctx.encodable_ = false;
-        ctx.fallback_reason_ =
-            "distribution support does not map into the domain";
-        continue;
-      }
     } else {
       if (dist.is_categorical()) {
-        ctx.encodable_ = false;
-        ctx.fallback_reason_ =
-            "categorical distribution over a continuous domain";
-        continue;
+        return Reject("categorical distribution over a continuous domain",
+                      ctx.schema_, target);
       }
       const Histogram& hist = dist.histogram();
       sampler.categorical = false;
@@ -148,10 +142,6 @@ Status GenerateEncoded(const GenerationContext& ctx, size_t num_rows,
                        Rng* rng, EncodedBatch* batch) {
   if (rng == nullptr) {
     return Status::Invalid("rng must not be null");
-  }
-  if (!ctx.encodable()) {
-    return Status::Invalid("package is not encodable: " +
-                           ctx.fallback_reason());
   }
   batch->Configure(ctx.kinds_, ctx.widths_);
   batch->ResetRows(num_rows);
@@ -208,8 +198,8 @@ Status GenerateEncoded(const GenerationContext& ctx, size_t num_rows,
             lhs[0], domain, ctx.code_numeric_[lhs[0]], num_rows,
             dep.lhs_epsilon, dep.rhs_delta, rng, batch, target);
         if (!st.ok()) {
-          // Same fallback as the value path: a DD onto a categorical RHS
-          // cannot drive generation; draw from the domain instead.
+          // A DD onto a categorical RHS cannot drive generation; draw
+          // the column from its domain instead.
           GenerateRootColumnEncoded(domain, num_rows, rng, batch, target);
         }
         break;
@@ -227,131 +217,11 @@ Result<GenerationOutcome> GenerateSynthetic(
   }
   METALEAK_ASSIGN_OR_RETURN(GenerationContext ctx,
                             GenerationContext::Build(metadata, options));
-  if (!ctx.encodable()) {
-    return GenerateSyntheticValuePath(metadata, num_rows, rng, options);
-  }
   thread_local EncodedBatch batch;
   METALEAK_RETURN_NOT_OK(GenerateEncoded(ctx, num_rows, rng, &batch));
   METALEAK_ASSIGN_OR_RETURN(
       Relation rel, MaterializeRelation(ctx.schema(), ctx.domains(), batch));
   return GenerationOutcome{std::move(rel), ctx.plan()};
-}
-
-Result<GenerationOutcome> GenerateSyntheticValuePath(
-    const MetadataPackage& metadata, size_t num_rows, Rng* rng,
-    const GenerationOptions& options) {
-  if (rng == nullptr) {
-    return Status::Invalid("rng must not be null");
-  }
-  METALEAK_ASSIGN_OR_RETURN(std::vector<Domain> domains,
-                            metadata.RequireDomains());
-  const size_t m = metadata.schema.num_attributes();
-
-  DependencySet usable;
-  if (!options.ignore_dependencies) {
-    usable = metadata.dependencies;
-  }
-  DependencyGraph plan =
-      DependencyGraph::Build(m, usable, options.allowed_kinds);
-
-  std::vector<std::vector<Value>> columns(m);
-  for (const GenerationStep& step : plan.steps()) {
-    const size_t target = step.attribute;
-    const Domain& domain = domains[target];
-    const bool has_distribution =
-        options.use_distributions &&
-        target < metadata.distributions.size() &&
-        metadata.distributions[target].has_value();
-    if (!step.via.has_value()) {
-      if (has_distribution) {
-        // Distribution-disclosure extension: sample the real marginal.
-        std::vector<Value> col;
-        col.reserve(num_rows);
-        for (size_t r = 0; r < num_rows; ++r) {
-          col.push_back(metadata.distributions[target]->Sample(rng));
-        }
-        columns[target] = std::move(col);
-      } else {
-        columns[target] = GenerateRootColumn(domain, num_rows, rng);
-      }
-      continue;
-    }
-    const Dependency& dep = *step.via;
-    std::vector<const std::vector<Value>*> lhs_columns;
-    for (size_t i : dep.lhs.ToIndices()) {
-      METALEAK_DCHECK(!columns[i].empty() || num_rows == 0);
-      lhs_columns.push_back(&columns[i]);
-    }
-    switch (dep.kind) {
-      case DependencyKind::kFunctional:
-        columns[target] =
-            GenerateFdColumn(lhs_columns, domain, num_rows, rng);
-        break;
-      case DependencyKind::kApproximateFunctional:
-        columns[target] = GenerateAfdColumn(lhs_columns, domain, num_rows,
-                                            dep.g3_error, rng);
-        break;
-      case DependencyKind::kNumerical:
-        columns[target] = GenerateNdColumn(*lhs_columns[0], domain,
-                                           num_rows, dep.max_fanout, rng);
-        break;
-      case DependencyKind::kOrder:
-        columns[target] =
-            GenerateOdColumn(*lhs_columns[0], domain, num_rows, rng);
-        break;
-      case DependencyKind::kOrderedFunctional:
-        columns[target] =
-            GenerateOfdColumn(*lhs_columns[0], domain, num_rows, rng);
-        break;
-      case DependencyKind::kDifferential: {
-        Result<std::vector<Value>> col =
-            GenerateDdColumn(*lhs_columns[0], domain, num_rows,
-                             dep.lhs_epsilon, dep.rhs_delta, rng);
-        if (!col.ok()) {
-          // A DD onto a categorical RHS cannot drive generation; fall
-          // back to the domain draw rather than failing the whole run.
-          columns[target] = GenerateRootColumn(domain, num_rows, rng);
-        } else {
-          columns[target] = std::move(col).ValueUnsafe();
-        }
-        break;
-      }
-    }
-  }
-
-  // The synthetic schema mirrors the disclosed one, but generated values
-  // are domain samples: continuous attributes become doubles regardless of
-  // the source physical type. Relax the physical types accordingly.
-  std::vector<Attribute> attrs = metadata.schema.attributes();
-  for (size_t c = 0; c < m; ++c) {
-    bool has_double = false;
-    bool has_int = false;
-    bool has_string = false;
-    for (const Value& v : columns[c]) {
-      has_double |= v.is_double();
-      has_int |= v.is_int();
-      has_string |= v.is_string();
-    }
-    if (has_string) {
-      attrs[c].type = DataType::kString;
-    } else if (has_double && !has_int) {
-      attrs[c].type = DataType::kDouble;
-    } else if (has_int && !has_double) {
-      attrs[c].type = DataType::kInt64;
-    } else if (has_double && has_int) {
-      // Mixed numeric draws (e.g. continuous domain over an int column):
-      // coerce everything to double.
-      for (Value& v : columns[c]) {
-        if (v.is_int()) v = Value::Real(static_cast<double>(v.AsInt()));
-      }
-      attrs[c].type = DataType::kDouble;
-    }
-  }
-
-  METALEAK_ASSIGN_OR_RETURN(
-      Relation rel,
-      Relation::Make(Schema(std::move(attrs)), std::move(columns)));
-  return GenerationOutcome{std::move(rel), std::move(plan)};
 }
 
 }  // namespace metaleak

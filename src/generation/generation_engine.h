@@ -1,27 +1,17 @@
 // GenerationEngine: builds a full synthetic relation R_syn from a
 // MetadataPackage, following the dependency graph (Section V).
 //
-// Two execution paths produce bit-identical output:
-//
-//   * The *value path* (GenerateSyntheticValuePath) materializes boxed
-//     `Value` columns directly — the original, reference implementation.
-//   * The *code path* (GenerationContext + GenerateEncoded) writes dense
-//     domain codes / raw doubles into a reusable EncodedBatch arena and
-//     only decodes to a Relation at the adapter boundary. Every encoded
-//     generator consumes the RNG in exactly the order its value twin
-//     does, so for the same seed the decoded batch equals the value-path
-//     relation bit for bit (the leakage_codepath test suite enforces
-//     this). Packages the code path cannot represent (e.g. a disclosed
-//     distribution whose support is not in the domain) make the context
-//     non-encodable and callers fall back to the value path.
-//
-// GenerateSynthetic keeps its historical signature and now routes
-// through the code path when possible.
+// GenerationContext resolves a package once (plan, domains, batch
+// layout, distribution samplers); GenerateEncoded then writes dense
+// domain codes / raw doubles into a reusable EncodedBatch arena, and
+// only the Relation-returning GenerateSynthetic decodes at the adapter
+// boundary. A package this path cannot represent bit for bit is
+// rejected by GenerationContext::Build with Status::Invalid; there is
+// no second generation path.
 #ifndef METALEAK_GENERATION_GENERATION_ENGINE_H_
 #define METALEAK_GENERATION_GENERATION_ENGINE_H_
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -61,13 +51,13 @@ Status GenerateEncoded(const GenerationContext& ctx, size_t num_rows,
 /// Everything the per-round generation loop needs, resolved once per
 /// (metadata, options) pair: the generation plan, the domains, the batch
 /// column layout, per-code numeric tables for DD, and code-mapped
-/// distribution samplers. Building the context also decides whether the
-/// code path can represent the package at all (encodable()).
+/// distribution samplers.
 class GenerationContext {
  public:
-  /// Resolves plan + domains. Fails with the same Status the value path
-  /// would (e.g. missing domains); representability problems do NOT fail
-  /// the build — they clear encodable() so callers can fall back.
+  /// Resolves plan + domains. Invalid when a domain is missing, when a
+  /// categorical domain holds NaN, or when a disclosed distribution does
+  /// not fit its attribute's domain (continuous over categorical,
+  /// categorical over continuous, or support outside the domain).
   static Result<GenerationContext> Build(const MetadataPackage& metadata,
                                          const GenerationOptions& options =
                                              {});
@@ -82,18 +72,12 @@ class GenerationContext {
   size_t num_attributes() const { return domains_.size(); }
 
   /// Per-code numeric view of a code-stored column's domain: entry 0
-  /// (NULL) and non-numeric entries are 0.0, matching the value path's
-  /// `is_numeric() ? AsNumeric() : 0.0` convention in the DD walk.
-  /// Empty for real-stored columns.
+  /// (NULL) and non-numeric entries are 0.0 (the DD walk's
+  /// `is_numeric() ? AsNumeric() : 0.0` convention). Empty for
+  /// real-stored columns.
   const std::vector<double>& code_numeric(size_t c) const {
     return code_numeric_[c];
   }
-
-  /// True when GenerateEncoded reproduces the value path for this
-  /// package; otherwise fallback_reason() says why and callers should
-  /// use GenerateSyntheticValuePath.
-  bool encodable() const { return encodable_; }
-  const std::string& fallback_reason() const { return fallback_reason_; }
 
  private:
   friend Status GenerateEncoded(const GenerationContext&, size_t, Rng*,
@@ -122,31 +106,23 @@ class GenerationContext {
   std::vector<std::vector<size_t>> step_lhs_;  // aligned with plan steps
   std::vector<std::optional<DistSampler>> dist_;     // per attribute
   std::vector<std::vector<double>> code_numeric_;    // per attribute
-  bool encodable_ = true;
-  std::string fallback_reason_;
 };
 
 /// Runs the encoded generators over the context's plan, filling `batch`
 /// (re-configured and resized in place; a thread that owns its batch
-/// allocates only on the first round). Invalid when the context is not
-/// encodable.
+/// allocates only on the first round).
 Status GenerateEncoded(const GenerationContext& ctx, size_t num_rows,
                        Rng* rng, EncodedBatch* batch);
 
 /// Generates `num_rows` synthetic tuples from disclosed metadata. Requires
 /// the package to disclose every attribute domain (the adversary cannot
-/// sample values otherwise); returns Invalid when domains are missing.
+/// sample values otherwise); returns the Invalid of
+/// GenerationContext::Build for missing domains and for packages it
+/// rejects.
 Result<GenerationOutcome> GenerateSynthetic(const MetadataPackage& metadata,
                                             size_t num_rows, Rng* rng,
                                             const GenerationOptions& options =
                                                 {});
-
-/// The reference boxed-Value implementation. Exposed so parity tests and
-/// benchmarks can compare the two paths explicitly; GenerateSynthetic
-/// itself falls back here when the package is not encodable.
-Result<GenerationOutcome> GenerateSyntheticValuePath(
-    const MetadataPackage& metadata, size_t num_rows, Rng* rng,
-    const GenerationOptions& options = {});
 
 }  // namespace metaleak
 

@@ -1,6 +1,9 @@
 #include "metadata/metadata_package.h"
 
+#include <cmath>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "common/string_util.h"
 
@@ -83,6 +86,15 @@ MetadataPackage MetadataPackage::Restrict(DisclosureLevel level) const {
 
 namespace {
 
+// ParseDouble that also rejects NaN: every double in a package is outside
+// input, and NaN breaks Value's order, domain deduplication and the
+// leakage scans.
+std::optional<double> ParseNumber(std::string_view s) {
+  std::optional<double> v = ParseDouble(s);
+  if (v.has_value() && std::isnan(*v)) return std::nullopt;
+  return v;
+}
+
 std::string EncodeValue(const Value& v) {
   if (v.is_null()) return "n:";
   if (v.is_int()) return "i:" + std::to_string(v.AsInt());
@@ -104,7 +116,7 @@ Result<Value> DecodeValue(const std::string& s) {
       return Value::Int(*v);
     }
     case 'd': {
-      auto v = ParseDouble(body);
+      auto v = ParseNumber(body);
       if (!v) return Status::IoError("bad double domain value: " + s);
       return Value::Real(*v);
     }
@@ -243,8 +255,8 @@ Result<MetadataPackage> MetadataPackage::Deserialize(
                                     Domain::Categorical(std::move(values)));
       } else if (f[2] == "continuous") {
         if (f.size() != 5) return Status::IoError("bad continuous domain");
-        auto lo = ParseDouble(f[3]);
-        auto hi = ParseDouble(f[4]);
+        auto lo = ParseNumber(f[3]);
+        auto hi = ParseNumber(f[4]);
         if (!lo || !hi) return Status::IoError("bad domain bounds");
         parsed_domains.emplace_back(static_cast<size_t>(*idx),
                                     Domain::Continuous(*lo, *hi));
@@ -264,15 +276,15 @@ Result<MetadataPackage> MetadataPackage::Deserialize(
         d.lhs = d.lhs.With(static_cast<size_t>(*i));
       }
       auto rhs = ParseInt64(f[3]);
-      auto g3 = ParseDouble(f[4]);
+      auto g3 = ParseNumber(f[4]);
       auto fanout = ParseInt64(f[5]);
       std::vector<double> eps_list;
       for (const std::string& part : Split(f[6], ',')) {
-        auto e = ParseDouble(part);
+        auto e = ParseNumber(part);
         if (!e) return Status::IoError("bad dep parameters");
         eps_list.push_back(*e);
       }
-      auto delta = ParseDouble(f[7]);
+      auto delta = ParseNumber(f[7]);
       if (!rhs || !g3 || !fanout || eps_list.empty() || !delta) {
         return Status::IoError("bad dep parameters");
       }
@@ -334,8 +346,8 @@ Result<MetadataPackage> MetadataPackage::Deserialize(
                                   std::move(dist));
       } else if (f[2] == "continuous") {
         if (f.size() != 6) return Status::IoError("bad continuous dist");
-        auto lo = ParseDouble(f[3]);
-        auto hi = ParseDouble(f[4]);
+        auto lo = ParseNumber(f[3]);
+        auto hi = ParseNumber(f[4]);
         if (!lo || !hi) return Status::IoError("bad dist bounds");
         Histogram h;
         h.lo = *lo;

@@ -63,7 +63,9 @@ struct MetadataPackage {
   /// the grammar). Categorical domain values must not contain '|' or tabs.
   std::string Serialize() const;
 
-  /// Parses Serialize() output.
+  /// Parses Serialize() output. IoError on a malformed record, including
+  /// NaN in any number (domain bounds or values, dependency parameters,
+  /// CFD values, distribution bounds or values).
   static Result<MetadataPackage> Deserialize(const std::string& text);
 };
 

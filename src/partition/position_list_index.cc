@@ -161,8 +161,7 @@ PositionListIndex PositionListIndex::FromCodes(const CodeColumnView& codes,
   // cluster's members in ascending order.
   std::vector<Row> rows(total);
   std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  if (num_codes >= kRadixScatterMinCodes && n >= 2 * size_t{num_codes} &&
-      StreamingOptsEnabled()) {
+  if (num_codes >= kRadixScatterMinCodes && n >= 2 * size_t{num_codes}) {
     // Radix-partitioned scatter. Stable-bucket the (code, row) pairs by
     // code high bits, then scatter bucket by bucket: each bucket's codes
     // span a contiguous [b << shift, (b + 1) << shift) slice of the

@@ -183,15 +183,14 @@ std::string AuditResult::ToMarkdown() const {
   }
 
   // Beyond-match-rate measures from the estimator registry, present when
-  // some method ran on the encoded path with the info-theoretic
-  // estimator registered. Entropy columns are batch-independent; the MI
+  // some method ran with the info-theoretic estimator registered. Entropy columns are batch-independent; the MI
   // and NN-linkage columns take the worst (largest) mean across methods.
   const std::string info_name = InfoTheoreticEstimator::Instance().name();
   const std::string nn_name = NnLinkageEstimator::Instance().name();
   const MethodResult* info_src = nullptr;
   for (const MethodResult& m : method_results) {
     Result<RiskMeasureStats> e = m.ForMeasure(info_name, "entropy_bits");
-    if (e.ok() && e->active) {
+    if (e.ok()) {
       info_src = &m;
       break;
     }
@@ -202,7 +201,7 @@ std::string AuditResult::ToMarkdown() const {
     std::vector<std::optional<double>> nn_top1(attributes.size());
     auto fold_max = [&](const Result<RiskMeasureStats>& stats,
                        std::vector<std::optional<double>>* into) {
-      if (!stats.ok() || !stats->active) return;
+      if (!stats.ok()) return;
       for (size_t c = 0; c < into->size() && c < stats->mean.size(); ++c) {
         if (stats->rounds[c] == 0) continue;
         std::optional<double>& cell = (*into)[c];

@@ -55,7 +55,7 @@ Result<CoalitionLeakageSummary> EvaluateCoalitionLeakage(
   }
   Result<RiskMeasureStats> mi = result.ForMeasure(
       InfoTheoreticEstimator::Instance().name(), "mi_bits");
-  if (mi.ok() && mi->active) {
+  if (mi.ok()) {
     double mi_sum = 0.0;
     size_t mi_count = 0;
     for (size_t c = 0; c < mi->mean.size(); ++c) {

@@ -35,9 +35,8 @@ struct CoalitionLeakageSummary {
   /// Mean of the per-attribute mean MSEs (continuous attributes only).
   std::optional<double> mean_mse;
   /// Mean over attributes of the info-theoretic estimator's mean
-  /// real-vs-generated mutual information (bits). Unset when the run
-  /// fell back to the value path (the estimator needs encoded batches)
-  /// or the registry omitted the estimator.
+  /// real-vs-generated mutual information (bits). Unset when the
+  /// registry omitted the estimator.
   std::optional<double> mean_mi_bits;
 };
 

@@ -110,12 +110,11 @@ Result<MethodAttributeResult> MethodResult::ForAttribute(
 }
 
 // Everything one method's rounds share, resolved before any RNG draw:
-// the generation context, the CFD chase plan, the bound risk estimators
-// (the match-rate estimator owns the fused Def 2.2/2.3 evaluator), and
-// the decision which path runs. The plan is RNG-independent, so `covered`
-// comes from it up front and every round — including round 0 — fans out.
+// the generation context, the CFD chase plan and the bound risk
+// estimators (the match-rate estimator owns the fused Def 2.2/2.3
+// evaluator). The plan is RNG-independent, so `covered` comes from it up
+// front and every round — including round 0 — fans out.
 struct ExperimentEngine::MethodPlan {
-  GenerationOptions gen_options;
   std::optional<GenerationContext> ctx;
   std::optional<EncodedCfdPlan> cfd_plan;
   /// The config's registry (or the default), plus one bound instance
@@ -126,7 +125,6 @@ struct ExperimentEngine::MethodPlan {
   /// measure count across the registry.
   std::vector<size_t> measure_offset;
   size_t total_measures = 0;
-  bool use_code = false;
   std::vector<bool> covered;
 
   /// The fused Def 2.2/2.3 context, owned by the bound match-rate
@@ -138,29 +136,23 @@ struct ExperimentEngine::MethodPlan {
 
 ExperimentEngine::ExperimentEngine(const Relation& real,
                                    const MetadataPackage& metadata)
-    : real_(&real),
-      metadata_(&metadata),
+    : metadata_(&metadata),
       owned_encoding_(EncodedRelation::Encode(real)),
       encoded_real_(&*owned_encoding_) {}
 
 ExperimentEngine::ExperimentEngine(const EncodedRelation& encoded,
                                    const MetadataPackage& metadata)
-    : real_(encoded.source()),
-      metadata_(&metadata),
-      encoded_real_(&encoded) {
-  METALEAK_DCHECK(real_ != nullptr);
-}
+    : metadata_(&metadata), encoded_real_(&encoded) {}
 
 Result<ExperimentEngine::MethodPlan> ExperimentEngine::PlanFor(
     GenerationMethod method, const ExperimentConfig& config) const {
   MethodPlan plan;
-  plan.gen_options = OptionsForMethod(method);
   METALEAK_ASSIGN_OR_RETURN(
       GenerationContext ctx,
-      GenerationContext::Build(*metadata_, plan.gen_options));
+      GenerationContext::Build(*metadata_, OptionsForMethod(method)));
   plan.ctx.emplace(std::move(ctx));
 
-  const size_t m = real_->num_columns();
+  const size_t m = encoded_real_->num_columns();
   plan.covered.assign(m, method == GenerationMethod::kRandom ||
                              method == GenerationMethod::kFull);
   if (method == GenerationMethod::kCfd) {
@@ -174,17 +166,12 @@ Result<ExperimentEngine::MethodPlan> ExperimentEngine::PlanFor(
     }
   }
 
-  plan.use_code = !config.use_value_path && plan.ctx->encodable();
-  if (plan.use_code && method == GenerationMethod::kCfd) {
+  if (method == GenerationMethod::kCfd) {
     METALEAK_ASSIGN_OR_RETURN(
         EncodedCfdPlan cfd_plan,
         BuildEncodedCfdPlan(metadata_->conditional_fds, plan.ctx->domains(),
                             plan.ctx->kinds()));
-    if (cfd_plan.supported()) {
-      plan.cfd_plan.emplace(std::move(cfd_plan));
-    } else {
-      plan.use_code = false;
-    }
+    plan.cfd_plan.emplace(std::move(cfd_plan));
   }
   plan.registry = config.estimators != nullptr
                       ? config.estimators
@@ -208,14 +195,26 @@ Result<ExperimentEngine::MethodPlan> ExperimentEngine::PlanFor(
     plan.total_measures += est->measures().size();
     plan.bound.push_back(std::move(bound));
   }
-  if (plan.use_code) {
-    const EncodedLeakageContext* leakage_ctx = plan.leakage_ctx();
-    if (leakage_ctx == nullptr || !leakage_ctx->supported()) {
-      plan.use_code = false;
-    }
-  }
   return plan;
 }
+
+namespace {
+
+// One round on the plan: generate into `batch`, then run the CFD chase
+// when the method repairs.
+Status GenerateRound(const GenerationContext& ctx,
+                     const std::optional<EncodedCfdPlan>& cfd_plan,
+                     size_t num_rows, uint64_t round_seed,
+                     EncodedBatch* batch) {
+  Rng round_rng(round_seed);
+  METALEAK_RETURN_NOT_OK(GenerateEncoded(ctx, num_rows, &round_rng, batch));
+  if (cfd_plan.has_value()) {
+    METALEAK_RETURN_NOT_OK(ApplyCfdsEncoded(*cfd_plan, batch, &round_rng));
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<MethodResult> ExperimentEngine::Run(
     GenerationMethod method, const ExperimentConfig& config) const {
@@ -223,7 +222,8 @@ Result<MethodResult> ExperimentEngine::Run(
     return Status::Invalid("experiment needs at least one round");
   }
   METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method, config));
-  const size_t m = real_->num_columns();
+  const size_t m = encoded_real_->num_columns();
+  const size_t n = encoded_real_->num_rows();
 
   // Per-round seeds drawn up front so the outcome is identical for any
   // thread count; recorded in the result so any round can be replayed.
@@ -234,60 +234,22 @@ Result<MethodResult> ExperimentEngine::Run(
     round_seeds.push_back(rng.ForkSeed());
   }
 
-  // rounds x total_measures x m measure cells; both paths fill the same
-  // array, and the Welford fold below walks it in ascending round
-  // order, so the aggregate is bit-identical across paths and thread
-  // counts. The match-rate estimator's cells carry exactly the values
-  // the fused scan's AttributeRoundStats did.
+  // rounds x total_measures x m measure cells. The Welford fold below
+  // walks them in ascending round order, so the aggregate is identical
+  // for any thread count. The match-rate estimator's cells carry exactly
+  // the values the fused scan's AttributeRoundStats did.
   const size_t total = plan.total_measures;
   std::vector<RiskMeasureCell> cells(config.rounds * total * m);
-  auto run_round_code = [&](size_t round) -> Status {
-    Rng round_rng(round_seeds[round]);
+  auto run_round = [&](size_t round) -> Status {
     thread_local EncodedBatch batch;
-    METALEAK_RETURN_NOT_OK(
-        GenerateEncoded(*plan.ctx, real_->num_rows(), &round_rng, &batch));
-    if (plan.cfd_plan.has_value()) {
-      METALEAK_RETURN_NOT_OK(
-          ApplyCfdsEncoded(*plan.cfd_plan, &batch, &round_rng));
-    }
+    METALEAK_RETURN_NOT_OK(GenerateRound(*plan.ctx, plan.cfd_plan, n,
+                                         round_seeds[round], &batch));
     RiskMeasureCell* round_cells = cells.data() + round * total * m;
     for (size_t e = 0; e < plan.bound.size(); ++e) {
       METALEAK_RETURN_NOT_OK(plan.bound[e]->Evaluate(
           batch, round_cells + plan.measure_offset[e] * m));
     }
     return Status::OK();
-  };
-  auto run_round_value = [&](size_t round) -> Status {
-    Rng round_rng(round_seeds[round]);
-    METALEAK_ASSIGN_OR_RETURN(
-        GenerationOutcome outcome,
-        GenerateSyntheticValuePath(*metadata_, real_->num_rows(), &round_rng,
-                                   plan.gen_options));
-    if (method == GenerationMethod::kCfd) {
-      METALEAK_ASSIGN_OR_RETURN(
-          outcome.relation,
-          ApplyCfds(outcome.relation, metadata_->conditional_fds,
-                    plan.ctx->domains(), &round_rng));
-    }
-    METALEAK_ASSIGN_OR_RETURN(
-        LeakageReport report,
-        EvaluateLeakage(*real_, outcome.relation, config.leakage));
-    // The value path fills only the match-rate columns (other
-    // estimators consume encoded batches); their cells stay absent and
-    // the fold marks them inactive.
-    RiskMeasureCell* round_cells = cells.data() + round * total * m;
-    for (const AttributeLeakage& a : report.attributes) {
-      round_cells[MatchRateEstimator::kMatchesIndex * m + a.attribute] =
-          RiskMeasureCell{static_cast<double>(a.matches), true};
-      if (a.mse.has_value()) {
-        round_cells[MatchRateEstimator::kMseIndex * m + a.attribute] =
-            RiskMeasureCell{*a.mse, true};
-      }
-    }
-    return Status::OK();
-  };
-  auto run_round = [&](size_t round) -> Status {
-    return plan.use_code ? run_round_code(round) : run_round_value(round);
   };
 
   size_t threads = config.threads;
@@ -319,27 +281,23 @@ Result<MethodResult> ExperimentEngine::Run(
   result.measures.reserve(total);
   for (size_t e = 0; e < plan.bound.size(); ++e) {
     const RiskEstimator* est = plan.registry->estimators()[e];
-    const bool active = plan.use_code || e == 0;
     for (size_t j = 0; j < est->measures().size(); ++j) {
       RiskMeasureStats ms;
       ms.estimator = est->name();
       ms.measure = est->measures()[j].key;
-      ms.active = active;
       ms.mean.assign(m, 0.0);
       ms.stddev.assign(m, 0.0);
       ms.rounds.assign(m, 0);
-      if (active) {
-        const size_t off = (plan.measure_offset[e] + j) * m;
-        for (size_t c = 0; c < m; ++c) {
-          WelfordAccumulator acc;
-          for (size_t round = 0; round < config.rounds; ++round) {
-            const RiskMeasureCell& cell = cells[round * total * m + off + c];
-            if (cell.present) acc.Add(cell.value);
-          }
-          ms.mean[c] = acc.mean();
-          ms.stddev[c] = acc.stddev();
-          ms.rounds[c] = acc.count();
+      const size_t off = (plan.measure_offset[e] + j) * m;
+      for (size_t c = 0; c < m; ++c) {
+        WelfordAccumulator acc;
+        for (size_t round = 0; round < config.rounds; ++round) {
+          const RiskMeasureCell& cell = cells[round * total * m + off + c];
+          if (cell.present) acc.Add(cell.value);
         }
+        ms.mean[c] = acc.mean();
+        ms.stddev[c] = acc.stddev();
+        ms.rounds[c] = acc.count();
       }
       result.measures.push_back(std::move(ms));
     }
@@ -356,11 +314,10 @@ Result<MethodResult> ExperimentEngine::Run(
   for (size_t c = 0; c < m; ++c) {
     MethodAttributeResult entry;
     entry.attribute = c;
-    entry.name = real_->schema().attribute(c).name;
-    entry.semantic = real_->schema().attribute(c).semantic;
+    entry.name = encoded_real_->schema().attribute(c).name;
+    entry.semantic = encoded_real_->schema().attribute(c).semantic;
     entry.covered = plan.covered[c];
-    entry.rows_compared =
-        real_->num_rows() - encoded_real_->dictionary(c).null_count();
+    entry.rows_compared = n - encoded_real_->dictionary(c).null_count();
     entry.mean_matches = matches_col.mean[c];
     entry.stddev_matches = matches_col.stddev[c];
     if (mse_col.rounds[c] > 0) entry.mean_mse = mse_col.mean[c];
@@ -388,28 +345,11 @@ Result<LeakageReport> ExperimentEngine::ReplayRound(
     GenerationMethod method, uint64_t round_seed,
     const ExperimentConfig& config) const {
   METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method, config));
-  Rng round_rng(round_seed);
-  if (plan.use_code) {
-    EncodedBatch batch;
-    METALEAK_RETURN_NOT_OK(
-        GenerateEncoded(*plan.ctx, real_->num_rows(), &round_rng, &batch));
-    if (plan.cfd_plan.has_value()) {
-      METALEAK_RETURN_NOT_OK(
-          ApplyCfdsEncoded(*plan.cfd_plan, &batch, &round_rng));
-    }
-    return plan.leakage_ctx()->EvaluateReport(batch);
-  }
-  METALEAK_ASSIGN_OR_RETURN(
-      GenerationOutcome outcome,
-      GenerateSyntheticValuePath(*metadata_, real_->num_rows(), &round_rng,
-                                 plan.gen_options));
-  if (method == GenerationMethod::kCfd) {
-    METALEAK_ASSIGN_OR_RETURN(
-        outcome.relation,
-        ApplyCfds(outcome.relation, metadata_->conditional_fds,
-                  plan.ctx->domains(), &round_rng));
-  }
-  return EvaluateLeakage(*real_, outcome.relation, config.leakage);
+  EncodedBatch batch;
+  METALEAK_RETURN_NOT_OK(GenerateRound(*plan.ctx, plan.cfd_plan,
+                                       encoded_real_->num_rows(), round_seed,
+                                       &batch));
+  return plan.leakage_ctx()->EvaluateReport(batch);
 }
 
 Result<std::vector<RoundMeasureValues>>
@@ -417,47 +357,18 @@ ExperimentEngine::ReplayRoundMeasures(GenerationMethod method,
                                       uint64_t round_seed,
                                       const ExperimentConfig& config) const {
   METALEAK_ASSIGN_OR_RETURN(MethodPlan plan, PlanFor(method, config));
-  const size_t m = real_->num_columns();
-  Rng round_rng(round_seed);
+  const size_t m = encoded_real_->num_columns();
+  EncodedBatch batch;
+  METALEAK_RETURN_NOT_OK(GenerateRound(*plan.ctx, plan.cfd_plan,
+                                       encoded_real_->num_rows(), round_seed,
+                                       &batch));
   std::vector<RiskMeasureCell> cells(plan.total_measures * m);
-  size_t emitted = plan.use_code ? plan.bound.size() : 1;
-  if (plan.use_code) {
-    EncodedBatch batch;
-    METALEAK_RETURN_NOT_OK(
-        GenerateEncoded(*plan.ctx, real_->num_rows(), &round_rng, &batch));
-    if (plan.cfd_plan.has_value()) {
-      METALEAK_RETURN_NOT_OK(
-          ApplyCfdsEncoded(*plan.cfd_plan, &batch, &round_rng));
-    }
-    for (size_t e = 0; e < plan.bound.size(); ++e) {
-      METALEAK_RETURN_NOT_OK(plan.bound[e]->Evaluate(
-          batch, cells.data() + plan.measure_offset[e] * m));
-    }
-  } else {
-    METALEAK_ASSIGN_OR_RETURN(
-        GenerationOutcome outcome,
-        GenerateSyntheticValuePath(*metadata_, real_->num_rows(), &round_rng,
-                                   plan.gen_options));
-    if (method == GenerationMethod::kCfd) {
-      METALEAK_ASSIGN_OR_RETURN(
-          outcome.relation,
-          ApplyCfds(outcome.relation, metadata_->conditional_fds,
-                    plan.ctx->domains(), &round_rng));
-    }
-    METALEAK_ASSIGN_OR_RETURN(
-        LeakageReport report,
-        EvaluateLeakage(*real_, outcome.relation, config.leakage));
-    for (const AttributeLeakage& a : report.attributes) {
-      cells[MatchRateEstimator::kMatchesIndex * m + a.attribute] =
-          RiskMeasureCell{static_cast<double>(a.matches), true};
-      if (a.mse.has_value()) {
-        cells[MatchRateEstimator::kMseIndex * m + a.attribute] =
-            RiskMeasureCell{*a.mse, true};
-      }
-    }
+  for (size_t e = 0; e < plan.bound.size(); ++e) {
+    METALEAK_RETURN_NOT_OK(plan.bound[e]->Evaluate(
+        batch, cells.data() + plan.measure_offset[e] * m));
   }
   std::vector<RoundMeasureValues> out;
-  for (size_t e = 0; e < emitted; ++e) {
+  for (size_t e = 0; e < plan.bound.size(); ++e) {
     const RiskEstimator* est = plan.registry->estimators()[e];
     for (size_t j = 0; j < est->measures().size(); ++j) {
       RoundMeasureValues values;

@@ -6,13 +6,12 @@
 // against R_real each round, and averages ("the MSE is the mean error
 // over many generation rounds to decrease the variance").
 //
-// The hot loop runs on the dictionary-encoded code path: the real
-// relation is encoded once, every round writes dense codes/doubles into a
-// per-thread EncodedBatch arena, and per-round AttributeRoundStats stream
-// into Welford accumulators — no Relation is materialized per round.
-// Packages the code path cannot represent fall back to the boxed-Value
-// reference pipeline; both paths reduce rounds to the same stats array
-// and share the same fold, so their results are bit-identical.
+// The hot loop runs on dictionary-encoded data: the real relation is
+// encoded once, every round writes dense codes/doubles into a per-thread
+// EncodedBatch arena, and each round's risk-measure cells stream into
+// Welford accumulators — no Relation is materialized per round. A
+// package the encoded pipeline cannot represent is rejected up front
+// with the Invalid Status of the Build that detects it.
 #ifndef METALEAK_PRIVACY_EXPERIMENT_H_
 #define METALEAK_PRIVACY_EXPERIMENT_H_
 
@@ -60,17 +59,11 @@ struct ExperimentConfig {
   /// their seeds up front, so the result is identical for any thread
   /// count. 0 = use the global pool size (METALEAK_THREADS / hardware).
   size_t threads = 1;
-  /// Force the boxed-Value reference pipeline even when the code path
-  /// could run. Parity tests and benchmarks flip this to compare the
-  /// two paths; results are bit-identical either way.
-  bool use_value_path = false;
   /// Risk estimators to stream per round. nullptr = the default
   /// registry (Def 2.2/2.3 match-rate only — the pre-refactor
-  /// behavior). The match-rate estimator must be first; estimators
-  /// beyond it run only on the code path (MethodResult marks them
-  /// inactive on the value-path fallback) and draw no randomness, so
-  /// swapping registries never perturbs the generated batches or the
-  /// legacy match/MSE statistics.
+  /// behavior). The match-rate estimator must be first; estimators draw
+  /// no randomness, so swapping registries never perturbs the generated
+  /// batches or the legacy match/MSE statistics.
   const RiskEstimatorRegistry* estimators = nullptr;
 };
 
@@ -98,9 +91,8 @@ struct MethodAttributeResult {
 struct RiskMeasureStats {
   std::string estimator;
   std::string measure;
-  /// False when the execution path could not evaluate this estimator
-  /// (estimators beyond match-rate need the code path); mean/stddev are
-  /// zero-filled then.
+  /// Always true: every registered estimator runs on every round. Kept
+  /// so existing readers of the field keep compiling.
   bool active = true;
   /// Per attribute: mean/stddev over the rounds where the cell was
   /// present, and how many rounds that was (0 = measure does not apply
@@ -140,17 +132,14 @@ struct RoundMeasureValues {
 };
 
 /// Runs experiment methods against one real relation. Encodes the real
-/// relation once in the constructor; `real` and `metadata` must outlive
-/// the engine. Run/RunAll/ReplayRound are const and thread-safe.
+/// relation once in the constructor; `metadata` must outlive the engine. Run/RunAll/ReplayRound are const and thread-safe.
 class ExperimentEngine {
  public:
   ExperimentEngine(const Relation& real, const MetadataPackage& metadata);
 
   /// Runs against a pre-built encoding instead of re-encoding the
-  /// relation — the warm-snapshot path. `encoded.source()` must be
-  /// non-null (the value-path fallback and per-attribute naming still
-  /// read the backing relation) and outlive the engine, as must
-  /// `encoded` and `metadata`.
+  /// relation — the warm-snapshot path. `encoded` and `metadata` must
+  /// outlive the engine; `encoded.source()` is never read.
   ExperimentEngine(const EncodedRelation& encoded,
                    const MetadataPackage& metadata);
 
@@ -175,8 +164,7 @@ class ExperimentEngine {
   /// Re-executes a single recorded round and returns the raw cells of
   /// every measure column the config's registry emits for it — the
   /// estimator-level drill-down next to ReplayRound's Def 2.2/2.3
-  /// report. On the value-path fallback only the match-rate columns are
-  /// returned.
+  /// report.
   Result<std::vector<RoundMeasureValues>> ReplayRoundMeasures(
       GenerationMethod method, uint64_t round_seed,
       const ExperimentConfig& config = {}) const;
@@ -186,7 +174,6 @@ class ExperimentEngine {
   Result<MethodPlan> PlanFor(GenerationMethod method,
                              const ExperimentConfig& config) const;
 
-  const Relation* real_;
   const MetadataPackage* metadata_;
   /// Set by the Relation constructor only; the EncodedRelation
   /// constructor borrows the caller's encoding instead.

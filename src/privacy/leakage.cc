@@ -86,9 +86,9 @@ Result<size_t> CountCategoricalMatches(const Relation& real,
     if (rv.is_null()) continue;
     const Value& sv = synthetic.at(r, attribute);
     // A synthetic NULL is never a match: the adversary produced no guess
-    // for the cell. Stated explicitly so both this path and the code
-    // path (where NULL is code 0 and real cells never translate to 0)
-    // agree by construction rather than by accident of Value equality.
+    // for the cell. Stated explicitly so this scan and the code scan
+    // (where NULL is code 0 and real cells never translate to 0) agree
+    // by construction rather than by accident of Value equality.
     if (sv.is_null()) continue;
     if (ValuesMatchCategorical(rv, sv)) ++matches;
   }
@@ -217,11 +217,9 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
   ctx.num_rows_ = real.num_rows();
   const std::vector<EncodedBatch::ColumnKind> kinds =
       ColumnKindsForDomains(domains);
-  auto mark_unsupported = [&ctx](const char* reason) {
-    if (ctx.supported_) {
-      ctx.supported_ = false;
-      ctx.fallback_reason_ = reason;
-    }
+  auto reject = [&real](const char* reason, size_t c) {
+    return Status::Invalid(std::string(reason) + " (attribute '" +
+                           real.schema().attribute(c).name + "')");
   };
 
   ctx.attrs_.resize(m);
@@ -291,8 +289,8 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
           // E.g. Int(3) and Real(3.0) both disclosed: one real cell
           // matches two distinct synthetic codes, which a single
           // translated code cannot express.
-          mark_unsupported(
-              "real value matches several domain entries cross-type");
+          return reject(
+              "real value matches several domain entries cross-type", c);
         }
       }
       plan.real_codes.Reset(width);
@@ -312,11 +310,12 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
     }
 
     if (!categorical) {
-      // NaN is a *value* to the value path (it reaches the MSE sum) but
-      // a skip marker here; fall back rather than diverge.
+      // NaN is the skip marker of real_numeric, so a NaN cell could
+      // not be scored as a value (EvaluateLeakage would sum it into
+      // the MSE).
       for (uint32_t code = 1; code < dict.num_codes(); ++code) {
         if (std::isnan(by_code[code]) && dict.decode(code).is_numeric()) {
-          mark_unsupported("NaN value in a continuous real column");
+          return reject("NaN value in a continuous real column", c);
         }
       }
       if (options.absolute_epsilon.has_value()) {
@@ -334,8 +333,7 @@ Result<EncodedLeakageContext> EncodedLeakageContext::Build(
           if (domain_values[i].is_numeric()) {
             double x = domain_values[i].AsNumeric();
             if (std::isnan(x)) {
-              mark_unsupported("NaN value in a generation domain");
-              continue;
+              return reject("NaN value in a generation domain", c);
             }
             plan.code_numeric[i + 1] = x;
           }
@@ -357,16 +355,12 @@ Status EncodedLeakageContext::Evaluate(const EncodedBatch& batch,
         std::to_string(num_rows_) + " vs " +
         std::to_string(batch.num_rows()) + ")");
   }
-  if (!supported_) {
-    return Status::Invalid("leakage context is not encodable: " +
-                           fallback_reason_);
-  }
   const size_t n = num_rows_;
   const size_t m = attrs_.size();
   // All four scans dispatch through the SIMD kernel layer; every kernel
   // is byte-identical to the scalar loop it replaced (including NaN
-  // handling and the row-order MSE accumulation), so the code-vs-value
-  // golden parity is preserved at any dispatch level.
+  // handling and the row-order MSE accumulation), so results do not
+  // depend on the dispatch level.
   //
   // Rows are walked in L2-sized tiles with the per-attribute stats
   // carried across tiles. Tile lengths are multiples of the kernels'
@@ -398,7 +392,7 @@ Status EncodedLeakageContext::Evaluate(const EncodedBatch& batch,
         continue;
       }
       // Continuous: epsilon-ball matches + MSE accumulated in row order
-      // with the value path's exact skip predicate.
+      // with EvaluateLeakage's exact skip predicate.
       if (plan.kind == EncodedBatch::ColumnKind::kCodes) {
         EpsilonBallMseCodedInto(level, plan.real_numeric.data() + lo,
                                 batch.code_view(c).Slice(lo, len),

@@ -83,8 +83,7 @@ Result<LeakageReport> EvaluateLeakage(const Relation& real,
 
 /// One Monte-Carlo round's raw numbers for one attribute: everything the
 /// experiment runner needs to accumulate, without a LeakageReport's
-/// strings. Both the value path and the code path reduce a round to this
-/// struct, so the runner's Welford fold is shared and bit-identical.
+/// strings.
 struct AttributeRoundStats {
   size_t matches = 0;
   double mse = 0.0;
@@ -93,8 +92,8 @@ struct AttributeRoundStats {
 
 /// Static per-attribute identity shared by every report assembler: who
 /// the attribute is and how many rows Def 2.2/2.3 can compare (real
-/// NULLs excluded). Both the value path and the code path reduce a
-/// round to (meta, AttributeRoundStats) pairs and hand them to
+/// NULLs excluded). EvaluateLeakage and EncodedLeakageContext both
+/// reduce a round to (meta, AttributeRoundStats) pairs and hand them to
 /// AssembleLeakageReport, so exactly one place turns raw accumulator
 /// columns into a LeakageReport.
 struct LeakageAttributeMeta {
@@ -123,8 +122,8 @@ LeakageReport AssembleLeakageReport(
 ///     width-selection rule keeps the all-ones sentinel free at every
 ///     width), so the compare kernel streams narrow on both sides.
 ///   * Continuous attributes compare raw doubles under the epsilon ball
-///     and accumulate the MSE in row order, skipping exactly the rows the
-///     value path skips (real/synthetic NULL or non-numeric).
+///     and accumulate the MSE in row order, skipping exactly the rows
+///     EvaluateLeakage skips (real/synthetic NULL or non-numeric).
 ///
 /// Evaluate() walks the rows in L2-sized tiles, carrying the per-
 /// attribute statistics across tiles; tile boundaries are multiples of
@@ -132,10 +131,11 @@ LeakageReport AssembleLeakageReport(
 /// to one full-length pass.
 ///
 /// Build() fails with the Status EvaluateLeakage would produce for a
-/// structural mismatch (arity, attribute names). Value patterns the code
-/// path cannot reproduce bit-for-bit (a real value matching several
-/// domain entries cross-type, NaNs feeding the MSE) clear supported()
-/// instead, and callers fall back to the value path.
+/// structural mismatch (arity, attribute names), and with Invalid for
+/// value patterns a dense-code scan cannot score: a real value matching
+/// several domain entries cross-type (Int 3 and Real 3.0 both
+/// disclosed), or NaN in a continuous real column or in a continuous
+/// attribute's categorical domain (NaN is the scan's skip marker).
 class EncodedLeakageContext {
  public:
   /// Sentinel for real cells with no generation-domain code (NULLs and
@@ -152,8 +152,6 @@ class EncodedLeakageContext {
       const std::vector<Domain>& domains,
       const LeakageOptions& options = {});
 
-  bool supported() const { return supported_; }
-  const std::string& fallback_reason() const { return fallback_reason_; }
   size_t num_attributes() const { return attrs_.size(); }
   size_t num_rows() const { return num_rows_; }
 
@@ -200,8 +198,6 @@ class EncodedLeakageContext {
 
   std::vector<AttrPlan> attrs_;
   size_t num_rows_ = 0;
-  bool supported_ = true;
-  std::string fallback_reason_;
 };
 
 }  // namespace metaleak

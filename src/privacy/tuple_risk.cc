@@ -1,8 +1,6 @@
 #include "privacy/tuple_risk.h"
 
 #include <algorithm>
-#include <cmath>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -11,31 +9,12 @@
 #include "common/simd.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
-#include "data/domain.h"
 #include "data/encoded_batch.h"
 #include "data/encoded_relation.h"
 #include "generation/generation_engine.h"
 #include "privacy/identifiability.h"
 
 namespace metaleak {
-
-namespace {
-
-// Whether the synthetic cell matches the real cell under the paper's
-// per-type semantics.
-bool CellMatches(const Value& real, const Value& syn,
-                 SemanticType semantic, double epsilon) {
-  if (real.is_null()) return false;
-  if (semantic == SemanticType::kCategorical) {
-    if (real == syn) return true;
-    return real.is_numeric() && syn.is_numeric() &&
-           real.AsNumeric() == syn.AsNumeric();
-  }
-  if (!real.is_numeric() || !syn.is_numeric()) return false;
-  return std::abs(real.AsNumeric() - syn.AsNumeric()) <= epsilon;
-}
-
-}  // namespace
 
 std::vector<size_t> TupleRiskReport::TopIdentifiable(size_t count) const {
   std::vector<size_t> out;
@@ -74,25 +53,10 @@ Result<TupleRiskReport> AnalyzeTupleRisk(const Relation& real,
     return Status::Invalid("cannot analyze an empty relation");
   }
 
-  // One dictionary encoding shared by the epsilon extraction below and
+  // One dictionary encoding shared by the leakage tables below and
   // every per-subset uniqueness scan in the identifiability pass.
   EncodedRelation encoded = EncodedRelation::Encode(real);
 
-  // Per-attribute epsilon for continuous cells.
-  std::vector<double> epsilons(m, 0.0);
-  for (size_t c = 0; c < m; ++c) {
-    if (real.schema().attribute(c).semantic != SemanticType::kContinuous) {
-      continue;
-    }
-    if (options.leakage.absolute_epsilon.has_value()) {
-      epsilons[c] = *options.leakage.absolute_epsilon;
-    } else {
-      Result<Domain> domain = encoded.DomainOf(c);
-      epsilons[c] = domain.ok()
-                        ? options.leakage.epsilon_fraction * domain->range()
-                        : 0.0;
-    }
-  }
   // Non-null attribute counts per row (the "half reconstructed" base),
   // read column-major off the dense code vectors: code 0 is the reserved
   // NULL slot, so no Value is materialized.
@@ -108,107 +72,65 @@ Result<TupleRiskReport> AnalyzeTupleRisk(const Relation& real,
   std::vector<size_t> max_matched(n, 0);
   std::vector<size_t> half_rounds(n, 0);
 
-  // Code path: resolve the generation plan and the per-cell leakage
-  // tables once, then score every round as a scan over dense codes and
-  // doubles — no Relation is materialized. Packages or value patterns
-  // the encoded pipeline cannot reproduce fall back to the boxed-Value
-  // loop below (this analysis never index-checks schemas itself, so a
-  // context build error also just means "use the reference path").
-  std::optional<GenerationContext> gen_ctx;
-  std::optional<EncodedLeakageContext> leak_ctx;
-  {
-    Result<GenerationContext> built = GenerationContext::Build(metadata);
-    if (built.ok() && built->encodable()) {
-      Result<EncodedLeakageContext> leak = EncodedLeakageContext::Build(
-          encoded, built->schema(), built->domains(), options.leakage);
-      if (leak.ok() && leak->supported()) {
-        gen_ctx.emplace(std::move(*built));
-        leak_ctx.emplace(std::move(*leak));
-      }
-    }
-  }
+  // Resolve the generation plan and the per-cell leakage tables once,
+  // then score every round as a scan over dense codes and doubles — no
+  // Relation is materialized.
+  METALEAK_ASSIGN_OR_RETURN(GenerationContext gen_ctx,
+                            GenerationContext::Build(metadata));
+  METALEAK_ASSIGN_OR_RETURN(
+      EncodedLeakageContext leak_ctx,
+      EncodedLeakageContext::Build(encoded, gen_ctx.schema(),
+                                   gen_ctx.domains(), options.leakage));
   std::vector<EncodedLeakageContext::AttributeView> views;
-  if (leak_ctx.has_value()) {
-    views.reserve(m);
-    for (size_t c = 0; c < m; ++c) views.push_back(leak_ctx->ViewAttribute(c));
-  }
-
-  auto score_round = [&](auto&& cell_matched) {
-    // Each tuple's match count only touches its own accumulator slots,
-    // so the per-tuple scan fans out over the pool.
-    ParallelForChunks(0, n, 1024, [&](size_t lo, size_t hi) {
-      for (size_t r = lo; r < hi; ++r) {
-        size_t matched = 0;
-        for (size_t c = 0; c < m; ++c) {
-          if (cell_matched(r, c)) ++matched;
-        }
-        total_matched[r] += static_cast<double>(matched);
-        max_matched[r] = std::max(max_matched[r], matched);
-        if (non_null[r] > 0 && 2 * matched >= non_null[r]) {
-          ++half_rounds[r];
-        }
-      }
-    });
-  };
+  views.reserve(m);
+  for (size_t c = 0; c < m; ++c) views.push_back(leak_ctx.ViewAttribute(c));
 
   Rng rng(options.seed);
   EncodedBatch batch;
   for (size_t round = 0; round < options.rounds; ++round) {
     Rng round_rng = rng.Fork();
-    if (gen_ctx.has_value()) {
-      METALEAK_RETURN_NOT_OK(
-          GenerateEncoded(*gen_ctx, n, &round_rng, &batch));
-      // Column-major scoring through the SIMD accumulation kernels: each
-      // chunk counts matched attributes per row one column at a time
-      // (exact integer counts, so the result is identical to the
-      // row-major cell loop), then finalizes its rows' accumulators.
-      const SimdLevel level = ActiveSimdLevel();
-      ParallelForChunks(0, n, 1024, [&](size_t lo, size_t hi) {
-        const size_t len = hi - lo;
-        std::vector<uint32_t> matched(len, 0);
-        for (size_t c = 0; c < m; ++c) {
-          const EncodedLeakageContext::AttributeView& v = views[c];
-          if (v.semantic == SemanticType::kCategorical) {
-            if (v.kind == EncodedBatch::ColumnKind::kCodes) {
-              AccumulateEqualCodes(level, v.real_codes.Slice(lo, len),
-                                   batch.code_view(c).Slice(lo, len),
-                                   matched.data());
-            } else {
-              // NaN real entries (NULL / non-numeric) never compare
-              // equal, exactly like the per-cell predicate.
-              AccumulateEqualF64(level, v.real_numeric + lo,
-                                 batch.reals(c).data() + lo, len,
+    METALEAK_RETURN_NOT_OK(GenerateEncoded(gen_ctx, n, &round_rng, &batch));
+    // Column-major scoring through the SIMD accumulation kernels: each
+    // chunk counts matched attributes per row one column at a time
+    // (exact integer counts, so the result is identical to the
+    // row-major cell loop), then finalizes its rows' accumulators.
+    const SimdLevel level = ActiveSimdLevel();
+    ParallelForChunks(0, n, 1024, [&](size_t lo, size_t hi) {
+      const size_t len = hi - lo;
+      std::vector<uint32_t> matched(len, 0);
+      for (size_t c = 0; c < m; ++c) {
+        const EncodedLeakageContext::AttributeView& v = views[c];
+        if (v.semantic == SemanticType::kCategorical) {
+          if (v.kind == EncodedBatch::ColumnKind::kCodes) {
+            AccumulateEqualCodes(level, v.real_codes.Slice(lo, len),
+                                 batch.code_view(c).Slice(lo, len),
                                  matched.data());
-            }
-          } else if (v.kind == EncodedBatch::ColumnKind::kCodes) {
-            AccumulateEpsilonMatchCodes(level, v.real_numeric + lo,
-                                        batch.code_view(c).Slice(lo, len),
-                                        v.code_numeric, v.epsilon,
-                                        matched.data());
           } else {
-            AccumulateEpsilonMatch(level, v.real_numeric + lo,
-                                   batch.reals(c).data() + lo, len,
-                                   v.epsilon, matched.data());
+            // NaN real entries (NULL / non-numeric) never compare equal.
+            AccumulateEqualF64(level, v.real_numeric + lo,
+                               batch.reals(c).data() + lo, len,
+                               matched.data());
           }
+        } else if (v.kind == EncodedBatch::ColumnKind::kCodes) {
+          AccumulateEpsilonMatchCodes(level, v.real_numeric + lo,
+                                      batch.code_view(c).Slice(lo, len),
+                                      v.code_numeric, v.epsilon,
+                                      matched.data());
+        } else {
+          AccumulateEpsilonMatch(level, v.real_numeric + lo,
+                                 batch.reals(c).data() + lo, len,
+                                 v.epsilon, matched.data());
         }
-        for (size_t i = 0; i < len; ++i) {
-          const size_t r = lo + i;
-          const size_t row_matched = matched[i];
-          total_matched[r] += static_cast<double>(row_matched);
-          max_matched[r] = std::max(max_matched[r], row_matched);
-          if (non_null[r] > 0 && 2 * row_matched >= non_null[r]) {
-            ++half_rounds[r];
-          }
+      }
+      for (size_t i = 0; i < len; ++i) {
+        const size_t r = lo + i;
+        const size_t row_matched = matched[i];
+        total_matched[r] += static_cast<double>(row_matched);
+        max_matched[r] = std::max(max_matched[r], row_matched);
+        if (non_null[r] > 0 && 2 * row_matched >= non_null[r]) {
+          ++half_rounds[r];
         }
-      });
-      continue;
-    }
-    METALEAK_ASSIGN_OR_RETURN(
-        GenerationOutcome outcome,
-        GenerateSynthetic(metadata, n, &round_rng));
-    score_round([&](size_t r, size_t c) {
-      return CellMatches(real.at(r, c), outcome.relation.at(r, c),
-                         real.schema().attribute(c).semantic, epsilons[c]);
+      }
     });
   }
 

@@ -37,8 +37,8 @@ RelationSnapshot::FromPublished(EncodedRelation published,
   snap->encoded_ =
       std::make_unique<EncodedRelation>(std::move(published));
   // The publish carries no backing Relation; materialize one (CFD
-  // discovery, the value-path fallback, and the attack pipeline read raw
-  // values) and point the encoding at it.
+  // discovery and the attack pipeline read raw values) and point the
+  // encoding at it.
   METALEAK_ASSIGN_OR_RETURN(Relation decoded, snap->encoded_->Decode());
   snap->relation_ = std::make_unique<Relation>(std::move(decoded));
   snap->encoded_->set_source(snap->relation_.get());

@@ -1,6 +1,5 @@
 #include "vfl/attack.h"
 
-#include <optional>
 #include <utility>
 
 #include "common/random.h"
@@ -12,28 +11,19 @@ namespace metaleak {
 Result<LeakageReport> SimulateReconstruction(
     const MetadataPackage& received, const Relation& real_aligned,
     uint64_t seed, const GenerationOptions& options) {
-  Rng rng(seed);
-  // Code path: generate straight into a dense batch and score it against
-  // the encoded real relation, skipping the per-round Relation. Packages
-  // the encoded pipeline cannot represent fall back to the boxed-Value
-  // reference path; both produce identical reports.
-  Result<GenerationContext> built =
-      GenerationContext::Build(received, options);
-  if (built.ok() && built->encodable()) {
-    EncodedRelation encoded = EncodedRelation::Encode(real_aligned);
-    Result<EncodedLeakageContext> leak = EncodedLeakageContext::Build(
-        encoded, built->schema(), built->domains());
-    if (leak.ok() && leak->supported()) {
-      EncodedBatch batch;
-      METALEAK_RETURN_NOT_OK(
-          GenerateEncoded(*built, real_aligned.num_rows(), &rng, &batch));
-      return leak->EvaluateReport(batch);
-    }
-  }
+  // Generate straight into a dense batch and score it against the
+  // encoded real relation, skipping the per-round Relation.
+  METALEAK_ASSIGN_OR_RETURN(GenerationContext ctx,
+                            GenerationContext::Build(received, options));
+  EncodedRelation encoded = EncodedRelation::Encode(real_aligned);
   METALEAK_ASSIGN_OR_RETURN(
-      GenerationOutcome outcome,
-      GenerateSynthetic(received, real_aligned.num_rows(), &rng, options));
-  return EvaluateLeakage(real_aligned, outcome.relation);
+      EncodedLeakageContext leak,
+      EncodedLeakageContext::Build(encoded, ctx.schema(), ctx.domains()));
+  Rng rng(seed);
+  EncodedBatch batch;
+  METALEAK_RETURN_NOT_OK(
+      GenerateEncoded(ctx, real_aligned.num_rows(), &rng, &batch));
+  return leak.EvaluateReport(batch);
 }
 
 Result<std::vector<AttackResult>> SweepDisclosureLevels(

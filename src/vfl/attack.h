@@ -29,7 +29,9 @@ struct AttackResult {
 };
 
 /// Reconstructs R_syn from `received` metadata and scores it against the
-/// real aligned slice. Returns Invalid when the package lacks domains.
+/// real aligned slice. Returns Invalid when the package lacks domains or
+/// when GenerationContext::Build or EncodedLeakageContext::Build rejects
+/// it.
 Result<LeakageReport> SimulateReconstruction(
     const MetadataPackage& received, const Relation& real_aligned,
     uint64_t seed, const GenerationOptions& options = {});

@@ -4,15 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/random.h"
 #include "data/domain.h"
+#include "data/encoded_batch.h"
 #include "discovery/cfd_discovery.h"
 #include "discovery/discovery_engine.h"
 #include "generation/cfd_generator.h"
 #include "generation/generation_engine.h"
 #include "metadata/metadata_package.h"
 #include "privacy/experiment.h"
+#include "value_reference.h"
 
 namespace metaleak {
 namespace {
@@ -191,6 +194,38 @@ TEST(CfdTest, RestrictKeepsCfdsOnlyAtRfdLevel) {
 
 // --- Generation ---------------------------------------------------------------------
 
+// Random roots drawn from `metadata` into a batch, as the kCfd method
+// generates them before its repair pass.
+struct RootBatch {
+  GenerationContext ctx;
+  EncodedBatch batch;
+
+  Relation Materialize() const {
+    return std::move(MaterializeRelation(ctx.schema(), ctx.domains(),
+                                         batch))
+        .ValueOrDie();
+  }
+};
+
+RootBatch GenerateRoots(const MetadataPackage& metadata, size_t num_rows,
+                        Rng* rng) {
+  GenerationOptions gen;
+  gen.ignore_dependencies = true;
+  RootBatch out{
+      std::move(GenerationContext::Build(metadata, gen)).ValueOrDie(), {}};
+  EXPECT_TRUE(GenerateEncoded(out.ctx, num_rows, rng, &out.batch).ok());
+  return out;
+}
+
+// Runs the shipped chase over `cfds` on the batch.
+Status Repair(RootBatch* roots, const std::vector<ConditionalFd>& cfds,
+              Rng* rng) {
+  METALEAK_ASSIGN_OR_RETURN(
+      EncodedCfdPlan plan,
+      BuildEncodedCfdPlan(cfds, roots->ctx.domains(), roots->ctx.kinds()));
+  return ApplyCfdsEncoded(plan, &roots->batch, rng);
+}
+
 TEST(CfdTest, ApplyCfdsEnforcesEachCfdAppliedAlone) {
   // Guarantee: a single CFD (no rule interaction) is enforced exactly.
   Relation r = CfdRelation();
@@ -200,19 +235,13 @@ TEST(CfdTest, ApplyCfdsEnforcesEachCfdAppliedAlone) {
   auto report = ProfileRelation(r, options);
   ASSERT_TRUE(report.ok());
   ASSERT_GT(report->metadata.conditional_fds.size(), 0u);
-  auto domains = report->metadata.RequireDomains();
-  ASSERT_TRUE(domains.ok());
 
   Rng rng(3);
-  GenerationOptions gen;
-  gen.ignore_dependencies = true;
-  auto outcome = GenerateSynthetic(report->metadata, 200, &rng, gen);
-  ASSERT_TRUE(outcome.ok());
   for (const ConditionalFd& cfd : report->metadata.conditional_fds) {
-    auto repaired =
-        ApplyCfds(outcome->relation, {cfd}, *domains, &rng);
-    ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-    auto valid = ValidateCfd(*repaired, cfd);
+    RootBatch roots = GenerateRoots(report->metadata, 200, &rng);
+    Status repaired = Repair(&roots, {cfd}, &rng);
+    ASSERT_TRUE(repaired.ok()) << repaired.ToString();
+    auto valid = ValidateCfd(roots.Materialize(), cfd);
     ASSERT_TRUE(valid.ok());
     EXPECT_TRUE(*valid) << cfd.ToString(r.schema());
   }
@@ -228,14 +257,9 @@ TEST(CfdTest, ApplyCfdsReducesViolationsUnderInteraction) {
   options.cfd.min_support = 5;
   auto report = ProfileRelation(r, options);
   ASSERT_TRUE(report.ok());
-  auto domains = report->metadata.RequireDomains();
-  ASSERT_TRUE(domains.ok());
 
   Rng rng(4);
-  GenerationOptions gen;
-  gen.ignore_dependencies = true;
-  auto outcome = GenerateSynthetic(report->metadata, 200, &rng, gen);
-  ASSERT_TRUE(outcome.ok());
+  RootBatch roots = GenerateRoots(report->metadata, 200, &rng);
   auto count_violations = [&](const Relation& rel) {
     size_t violations = 0;
     for (const ConditionalFd& cfd : report->metadata.conditional_fds) {
@@ -244,12 +268,11 @@ TEST(CfdTest, ApplyCfdsReducesViolationsUnderInteraction) {
     }
     return violations;
   };
-  size_t before = count_violations(outcome->relation);
-  auto repaired = ApplyCfds(outcome->relation,
-                            report->metadata.conditional_fds, *domains,
-                            &rng);
-  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-  size_t after = count_violations(*repaired);
+  size_t before = count_violations(roots.Materialize());
+  Status repaired =
+      Repair(&roots, report->metadata.conditional_fds, &rng);
+  ASSERT_TRUE(repaired.ok()) << repaired.ToString();
+  size_t after = count_violations(roots.Materialize());
   EXPECT_LT(after, before);
   EXPECT_LT(static_cast<double>(after),
             0.5 * static_cast<double>(
@@ -274,18 +297,112 @@ TEST(CfdTest, ApplyCfdsDisjointRulesAllHold) {
   MetadataPackage pkg;
   pkg.schema = r.schema();
   for (auto& d : *domains_result) pkg.domains.emplace_back(d);
-  GenerationOptions gen;
-  gen.ignore_dependencies = true;
-  auto outcome = GenerateSynthetic(pkg, 300, &rng, gen);
-  ASSERT_TRUE(outcome.ok());
-  auto repaired = ApplyCfds(outcome->relation, rules, *domains_result,
-                            &rng);
-  ASSERT_TRUE(repaired.ok());
+  RootBatch roots = GenerateRoots(pkg, 300, &rng);
+  ASSERT_TRUE(Repair(&roots, rules, &rng).ok());
+  Relation repaired = roots.Materialize();
   for (const ConditionalFd& cfd : rules) {
-    auto valid = ValidateCfd(*repaired, cfd);
+    auto valid = ValidateCfd(repaired, cfd);
     ASSERT_TRUE(valid.ok());
     EXPECT_TRUE(*valid) << cfd.ToString(r.schema());
   }
+}
+
+TEST(CfdTest, EncodedChaseMatchesValueReference) {
+  // Golden parity: from the same seed, random roots plus the chase on
+  // batch codes decode to exactly the relation the boxed-Value reference
+  // generator and chase produce — for each mined rule alone and for the
+  // whole interacting set.
+  Relation r = CfdRelation();
+  DiscoveryOptions options;
+  options.discover_cfds = true;
+  options.cfd.min_support = 5;
+  auto report = ProfileRelation(r, options);
+  ASSERT_TRUE(report.ok());
+  const MetadataPackage& pkg = report->metadata;
+  auto domains = pkg.RequireDomains();
+  ASSERT_TRUE(domains.ok());
+  std::vector<std::vector<ConditionalFd>> rule_sets = {pkg.conditional_fds};
+  for (const ConditionalFd& cfd : pkg.conditional_fds) {
+    rule_sets.push_back({cfd});
+  }
+  GenerationOptions gen;
+  gen.ignore_dependencies = true;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    for (const std::vector<ConditionalFd>& rules : rule_sets) {
+      Rng value_rng(seed);
+      auto value = reference::GenerateSyntheticValuePath(pkg, 120,
+                                                         &value_rng, gen);
+      ASSERT_TRUE(value.ok());
+      auto expected =
+          reference::ApplyCfds(value->relation, rules, *domains, &value_rng);
+      ASSERT_TRUE(expected.ok());
+
+      Rng code_rng(seed);
+      RootBatch roots = GenerateRoots(pkg, 120, &code_rng);
+      ASSERT_TRUE(Repair(&roots, rules, &code_rng).ok());
+      EXPECT_EQ(roots.Materialize(), *expected) << "seed " << seed;
+    }
+  }
+}
+
+// --- Packages BuildEncodedCfdPlan rejects --------------------------------------
+//
+// Only the kCfd method runs the chase, so ExperimentEngine::Run is the
+// entry point that reports these; the package arrives as
+// MetadataPackage::Deserialize text.
+
+void ExpectCfdMethodRejected(const std::string& records,
+                             const Relation& real,
+                             const std::string& reason) {
+  auto pkg = MetadataPackage::Deserialize(
+      "metaleak-metadata v1\nrows\t2\n" + records);
+  ASSERT_TRUE(pkg.ok()) << pkg.status().ToString();
+  ExperimentConfig config;
+  config.rounds = 2;
+  Status run =
+      RunMethod(real, *pkg, GenerationMethod::kCfd, config).status();
+  EXPECT_TRUE(run.IsInvalid()) << run.ToString();
+  EXPECT_NE(run.message().find(reason), std::string::npos)
+      << run.ToString();
+}
+
+TEST(CfdTest, RejectsMixedTypeDomainUnderRepair) {
+  ExpectCfdMethodRejected(
+      "attr\tk\tint64\tcategorical\nattr\tc\tstring\tcategorical\n"
+      "domain\t0\tcategorical\ti:1|d:2.5\n"
+      "domain\t1\tcategorical\ts:a|s:b\n"
+      "cfd\t1\ts:a\t\t0\t1\ti:1\t2\n",
+      MakeRelation({{"k", DataType::kInt64, SemanticType::kCategorical},
+                    Cat("c")},
+                   {{Value::Int(1), Value::Int(1)},
+                    {Value::Str("a"), Value::Str("b")}}),
+      "mixed-type domain under CFD repair");
+}
+
+TEST(CfdTest, RejectsConstantOutsideTargetDomain) {
+  ExpectCfdMethodRejected(
+      "attr\tk\tint64\tcategorical\nattr\tc\tstring\tcategorical\n"
+      "domain\t0\tcategorical\ti:1|i:2\n"
+      "domain\t1\tcategorical\ts:a|s:b\n"
+      "cfd\t1\ts:a\t\t0\t1\ti:9\t2\n",
+      MakeRelation({{"k", DataType::kInt64, SemanticType::kCategorical},
+                    Cat("c")},
+                   {{Value::Int(1), Value::Int(2)},
+                    {Value::Str("a"), Value::Str("b")}}),
+      "CFD constant not representable in the target domain");
+}
+
+TEST(CfdTest, RejectsNonDoubleConstantOnContinuousColumn) {
+  ExpectCfdMethodRejected(
+      "attr\tx\tdouble\tcontinuous\nattr\tc\tstring\tcategorical\n"
+      "domain\t0\tcontinuous\t0\t1\n"
+      "domain\t1\tcategorical\ts:a|s:b\n"
+      "cfd\t1\ts:a\t\t0\t1\ts:high\t2\n",
+      MakeRelation({{"x", DataType::kDouble, SemanticType::kContinuous},
+                    Cat("c")},
+                   {{Value::Real(0.25), Value::Real(0.75)},
+                    {Value::Str("a"), Value::Str("b")}}),
+      "non-double CFD constant on a continuous column");
 }
 
 TEST(CfdTest, VariableCfdMethodLeaksNoMoreThanRandom) {

@@ -1,31 +1,36 @@
 // Golden-parity suite for the dictionary-encoded attack pipeline.
 //
-// The experiment runner executes every Monte-Carlo round either on the
-// boxed-Value reference path or on the dense code path (generation into
-// an EncodedBatch arena, leakage over translated codes). Both are
-// claimed bit-identical: same per-round seeds, same match counts, same
+// The experiment runner executes every Monte-Carlo round on dense codes
+// (generation into an EncodedBatch arena, leakage over translated
+// codes). It must be bit-identical to the boxed-Value reference kept in
+// tests/value_reference.h: same per-round seeds, same match counts, same
 // MSEs, same Welford aggregates, at any thread count. This suite pins
 // that claim on the employee and echocardiogram datasets and a planted
 // synthetic relation — including the CFD repair pass and disclosed
 // value distributions — and exercises the satellite APIs (ForAttribute
 // index lookups, recorded round seeds + ReplayRound, synthetic-NULL
-// non-match semantics). Runs under TSan in CI alongside
-// csr_agreement_test: any divergence means the refactor changed
-// observable results, not just performance.
+// non-match semantics). It also holds the rejection cases: packages and
+// relations the dense-code scan cannot score come back as Invalid.
+// Runs under TSan in CI alongside csr_agreement_test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/math_util.h"
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/employee.h"
 #include "data/datasets/synthetic.h"
+#include "data/encoded_relation.h"
 #include "data/relation.h"
 #include "discovery/discovery_engine.h"
 #include "generation/generation_engine.h"
+#include "metadata/metadata_package.h"
 #include "privacy/experiment.h"
 #include "privacy/leakage.h"
+#include "value_reference.h"
 
 namespace metaleak {
 namespace {
@@ -62,31 +67,23 @@ void ExpectBitIdentical(const std::vector<MethodResult>& a,
   }
 }
 
-// Runs the full method sweep on both paths at 1 and 8 threads and
-// asserts all four sweeps agree bit-for-bit. Also asserts the code path
-// is actually live for the package (otherwise the parity is vacuous:
-// both sweeps would run the reference path).
+// Runs the full method sweep on the boxed-Value reference and on the
+// shipped engine at 1 and 8 threads, and asserts all three sweeps agree
+// bit-for-bit.
 void CheckGoldenParity(const Relation& relation,
                        const MetadataPackage& metadata, size_t rounds) {
-  auto ctx = GenerationContext::Build(metadata);
-  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
-  ASSERT_TRUE(ctx->encodable()) << ctx->fallback_reason();
-
   ExperimentConfig config;
   config.rounds = rounds;
-  std::vector<std::vector<MethodResult>> sweeps;
-  for (bool value_path : {false, true}) {
-    for (size_t threads : {1u, 8u}) {
-      config.use_value_path = value_path;
-      config.threads = threads;
-      auto result = RunExperiment(relation, metadata, kAllMethods, config);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      sweeps.push_back(std::move(*result));
-    }
-  }
-  for (size_t i = 1; i < sweeps.size(); ++i) {
-    SCOPED_TRACE(i);
-    ExpectBitIdentical(sweeps[0], sweeps[i]);
+  auto reference =
+      reference::RunExperimentValuePath(relation, metadata, kAllMethods,
+                                        config);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (size_t threads : {1u, 8u}) {
+    SCOPED_TRACE(threads);
+    config.threads = threads;
+    auto result = RunExperiment(relation, metadata, kAllMethods, config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectBitIdentical(*reference, *result);
   }
 }
 
@@ -166,8 +163,8 @@ TEST(LeakageCodepathTest, SyntheticNullNeverMatches) {
 
 TEST(LeakageCodepathTest, CodePathAgreesOnRealNulls) {
   // A relation with NULL holes: the encoded translation maps NULL to the
-  // no-match sentinel, so both paths must report identical counts and
-  // rows_compared excludes the NULLs.
+  // no-match sentinel, so the engine must report the reference's counts
+  // and rows_compared excludes the NULLs.
   Schema schema({{"cat", DataType::kString, SemanticType::kCategorical},
                  {"num", DataType::kDouble, SemanticType::kContinuous}});
   auto real = Relation::Make(
@@ -183,9 +180,8 @@ TEST(LeakageCodepathTest, CodePathAgreesOnRealNulls) {
   config.rounds = 32;
   auto code = RunMethod(*real, report->metadata, GenerationMethod::kRandom,
                         config);
-  config.use_value_path = true;
-  auto value = RunMethod(*real, report->metadata, GenerationMethod::kRandom,
-                         config);
+  auto value = reference::RunMethodValuePath(
+      *real, report->metadata, GenerationMethod::kRandom, config);
   ASSERT_TRUE(code.ok() && value.ok());
   ASSERT_FALSE(code->round_seeds.empty());
   const uint64_t first_round_seed = code->round_seeds[0];
@@ -296,12 +292,10 @@ TEST(LeakageCodepathTest, ReplayRoundPathsAgree) {
   auto result = engine.Run(GenerationMethod::kOd, config);
   ASSERT_TRUE(result.ok());
 
-  ExperimentConfig value_config = config;
-  value_config.use_value_path = true;
   for (uint64_t seed : result->round_seeds) {
     auto code = engine.ReplayRound(GenerationMethod::kOd, seed, config);
-    auto value =
-        engine.ReplayRound(GenerationMethod::kOd, seed, value_config);
+    auto value = reference::ReplayRoundValuePath(
+        employee, report->metadata, GenerationMethod::kOd, seed, config);
     ASSERT_TRUE(code.ok() && value.ok());
     ASSERT_EQ(code->attributes.size(), value->attributes.size());
     for (size_t c = 0; c < code->attributes.size(); ++c) {
@@ -315,6 +309,78 @@ TEST(LeakageCodepathTest, ReplayRoundPathsAgree) {
       }
     }
   }
+}
+
+// --- Relations and domains the dense-code scan cannot score ------------------
+
+bool NamesReason(const Status& st, const std::string& reason) {
+  return st.IsInvalid() && st.message().find(reason) != std::string::npos;
+}
+
+TEST(LeakageCodepathTest, RejectsCrossTypeDomainMatch) {
+  // Int 3 and Real 3.0 both disclosed: the real cell 3 matches two
+  // synthetic codes, which one translated code cannot express.
+  auto pkg = MetadataPackage::Deserialize(
+      "metaleak-metadata v1\nrows\t4\nattr\tk\tint64\tcategorical\n"
+      "domain\t0\tcategorical\ti:3|d:3|i:4\n");
+  ASSERT_TRUE(pkg.ok()) << pkg.status().ToString();
+  Relation real = std::move(Relation::Make(pkg->schema,
+                                           {{Value::Int(3), Value::Int(4),
+                                             Value::Int(3), Value::Int(4)}}))
+                      .ValueOrDie();
+  const std::string reason =
+      "real value matches several domain entries cross-type";
+  ExperimentConfig config;
+  config.rounds = 2;
+  ExperimentEngine engine(real, *pkg);
+  Status run = engine.Run(GenerationMethod::kRandom, config).status();
+  EXPECT_TRUE(NamesReason(run, reason)) << run.ToString();
+  Status replay =
+      engine.ReplayRound(GenerationMethod::kRandom, 1, config).status();
+  EXPECT_TRUE(NamesReason(replay, reason)) << replay.ToString();
+}
+
+TEST(LeakageCodepathTest, RejectsNanInContinuousRealColumn) {
+  // NaN is the scan's skip marker, so a NaN cell in a continuous real
+  // column could not be scored. The CSV loader reads "nan" as NULL, and
+  // Encode cannot order a hand-built NaN cell yet, so the case is built
+  // from encoded parts and run through the engine's encoding constructor.
+  auto pkg = MetadataPackage::Deserialize(
+      "metaleak-metadata v1\nrows\t3\nattr\tx\tdouble\tcontinuous\n"
+      "domain\t0\tcontinuous\t0\t1\n");
+  ASSERT_TRUE(pkg.ok()) << pkg.status().ToString();
+  std::vector<ColumnDictionary> dicts;
+  dicts.push_back(ColumnDictionary::FromSortedParts(
+      {Value::Null(), Value::Real(0.25),
+       Value::Real(std::numeric_limits<double>::quiet_NaN())},
+      {0, 2, 1}));
+  EncodedRelation encoded = EncodedRelation::FromParts(
+      pkg->schema, {{1, 2, 1}}, std::move(dicts), nullptr);
+  const std::string reason = "NaN value in a continuous real column";
+  ExperimentConfig config;
+  config.rounds = 2;
+  Status run = ExperimentEngine(encoded, *pkg)
+                   .Run(GenerationMethod::kRandom, config)
+                   .status();
+  EXPECT_TRUE(NamesReason(run, reason)) << run.ToString();
+}
+
+TEST(LeakageCodepathTest, RejectsNanInContinuousAttributeDomain) {
+  // GenerationContext::Build rejects NaN domain entries before any scan
+  // is built; EncodedLeakageContext::Build checks on its own for callers
+  // that bind it directly.
+  Schema schema({{"x", DataType::kDouble, SemanticType::kContinuous}});
+  Relation real = std::move(Relation::Make(
+                                schema, {{Value::Real(0.5), Value::Real(1.5)}}))
+                      .ValueOrDie();
+  EncodedRelation encoded = EncodedRelation::Encode(real);
+  const std::vector<Domain> domains = {Domain::Categorical(
+      {Value::Real(std::numeric_limits<double>::quiet_NaN()),
+       Value::Real(0.5)})};
+  Status built =
+      EncodedLeakageContext::Build(encoded, schema, domains).status();
+  EXPECT_TRUE(NamesReason(built, "NaN value in a generation domain"))
+      << built.ToString();
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // DependencyGraph, MetadataPackage (restriction + serialization).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "data/datasets/employee.h"
 #include "data/domain.h"
 #include "metadata/dependency.h"
@@ -266,6 +269,37 @@ TEST(MetadataPackageTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(MetadataPackage::Deserialize(
                    "metaleak-metadata v1\nrows\tnotanumber\n")
                    .ok());
+}
+
+TEST(MetadataPackageTest, DeserializeRejectsNan) {
+  // Each record once with a NaN in one number and once with a finite
+  // number in its place, so the IoError is the NaN's, not the record's.
+  const std::string head =
+      "metaleak-metadata v1\nattr\tx\tdouble\tcontinuous\n"
+      "attr\ty\tdouble\tcontinuous\n";
+  const std::vector<std::string> records = {
+      "domain\t0\tcontinuous\t@\t1\n",
+      "domain\t0\tcontinuous\t0\t@\n",
+      "domain\t0\tcategorical\td:@|d:1\n",
+      "dep\tAFD\t0\t1\t@\t0\t0\t0\n",
+      "dep\tDD\t0\t1\t0\t0\t@\t1\n",
+      "dep\tDD\t0\t1\t0\t0\t1\t@\n",
+      "cfd\t0\td:@\t\t1\t1\td:1\t2\n",
+      "cfd\t0\td:1\t\t1\t1\td:@\t2\n",
+      "dist\t0\tcontinuous\t@\t1\t1,1\n",
+      "dist\t0\tcategorical\td:@@2\n",
+  };
+  auto with = [](std::string record, const std::string& number) {
+    record.replace(record.find('@'), 1, number);
+    return record;
+  };
+  for (const std::string& record : records) {
+    SCOPED_TRACE(record);
+    EXPECT_TRUE(MetadataPackage::Deserialize(head + with(record, "0.5")).ok());
+    EXPECT_TRUE(MetadataPackage::Deserialize(head + with(record, "nan"))
+                    .status()
+                    .IsIoError());
+  }
 }
 
 TEST(MetadataPackageTest, RequireDomainsFailsWhenMissing) {

@@ -78,13 +78,16 @@ TEST(GeneratorBoundaryTest, NullRngRejected) {
 
 TEST(GeneratorBoundaryTest, DdBallClampsToDomain) {
   // Tiny domain, large delta: all samples stay in the domain.
+  MetadataPackage pkg;
+  pkg.schema = Schema({{"x", DataType::kDouble, SemanticType::kContinuous},
+                       {"y", DataType::kDouble, SemanticType::kContinuous}});
+  pkg.domains = {Domain::Continuous(0, 1), Domain::Continuous(10, 11)};
+  pkg.dependencies.Add(Dependency::Dd(0, 1, 0.5, 100.0));
   Rng rng(9);
-  Domain x_domain = Domain::Continuous(0, 1);
-  Domain y_domain = Domain::Continuous(10, 11);
-  std::vector<Value> lhs = GenerateRootColumn(x_domain, 200, &rng);
-  auto col = GenerateDdColumn(lhs, y_domain, 200, 0.5, 100.0, &rng);
-  ASSERT_TRUE(col.ok());
-  for (const Value& v : *col) {
+  auto outcome = GenerateSynthetic(pkg, 200, &rng);
+  ASSERT_TRUE(outcome.ok());
+  ASSERT_EQ(outcome->plan.num_derived(), 1u);
+  for (const Value& v : outcome->relation.column(1)) {
     EXPECT_GE(v.AsDouble(), 10.0);
     EXPECT_LE(v.AsDouble(), 11.0);
   }

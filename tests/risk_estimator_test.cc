@@ -2,9 +2,8 @@
 //
 // Pins the tentpole contract of the estimator refactor: (1) the
 // Def 2.2/2.3 results streamed through MatchRateEstimator are
-// bit-identical to the pre-refactor fused scan on every method, on both
-// execution paths, at 1 and 8 threads, and regardless of which registry
-// runs alongside; (2) the info-theoretic estimator reproduces
+// bit-identical to the boxed-Value reference on every method, at 1 and
+// 8 threads, and regardless of which registry runs alongside; (2) the info-theoretic estimator reproduces
 // closed-form entropy / conditional-entropy / mutual-information
 // answers on planted fixtures; (3) the NN-linkage adversary scores
 // known-answer batches exactly; (4) the measure columns flow through
@@ -27,6 +26,7 @@
 #include "privacy/experiment.h"
 #include "privacy/leakage_delta.h"
 #include "privacy/risk_estimator.h"
+#include "value_reference.h"
 
 namespace metaleak {
 namespace {
@@ -62,7 +62,7 @@ void ExpectLegacyFieldsIdentical(const std::vector<MethodResult>& a,
   }
 }
 
-// --- Golden parity: MatchRateEstimator == pre-refactor fused scan ------------
+// --- Golden parity: MatchRateEstimator == boxed-Value reference --------------
 
 TEST(RiskEstimatorTest, MatchRateGoldenParityAcrossPathsThreadsRegistries) {
   Relation employee = datasets::Employee();
@@ -74,22 +74,23 @@ TEST(RiskEstimatorTest, MatchRateGoldenParityAcrossPathsThreadsRegistries) {
   ExperimentConfig config;
   config.rounds = 12;
   std::vector<std::vector<MethodResult>> sweeps;
+  auto reference = reference::RunExperimentValuePath(
+      employee, report->metadata, kAllMethods, config);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  sweeps.push_back(std::move(*reference));
   for (const RiskEstimatorRegistry* registry :
        {&RiskEstimatorRegistry::Default(), &RiskEstimatorRegistry::All()}) {
-    for (bool value_path : {false, true}) {
-      for (size_t threads : {1u, 8u}) {
-        config.estimators = registry;
-        config.use_value_path = value_path;
-        config.threads = threads;
-        auto result =
-            RunExperiment(employee, report->metadata, kAllMethods, config);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        sweeps.push_back(std::move(*result));
-      }
+    for (size_t threads : {1u, 8u}) {
+      config.estimators = registry;
+      config.threads = threads;
+      auto result =
+          RunExperiment(employee, report->metadata, kAllMethods, config);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      sweeps.push_back(std::move(*result));
     }
   }
-  // All 8 sweeps (2 registries x 2 paths x 2 thread counts) agree on
-  // the legacy Def 2.2/2.3 fields bit for bit.
+  // The reference and all 4 engine sweeps (2 registries x 2 thread
+  // counts) agree on the legacy Def 2.2/2.3 fields bit for bit.
   for (size_t i = 1; i < sweeps.size(); ++i) {
     SCOPED_TRACE(i);
     ExpectLegacyFieldsIdentical(sweeps[0], sweeps[i]);
@@ -122,7 +123,7 @@ TEST(RiskEstimatorTest, MatchRateGoldenParityAcrossPathsThreadsRegistries) {
   }
 }
 
-TEST(RiskEstimatorTest, BeyondMatchRateEstimatorsInactiveOnValuePath) {
+TEST(RiskEstimatorTest, EveryRegisteredEstimatorActive) {
   Relation employee = datasets::Employee();
   auto report = ProfileRelation(employee);
   ASSERT_TRUE(report.ok());
@@ -130,23 +131,15 @@ TEST(RiskEstimatorTest, BeyondMatchRateEstimatorsInactiveOnValuePath) {
   ExperimentConfig config;
   config.rounds = 4;
   config.estimators = &RiskEstimatorRegistry::All();
-  auto code = RunMethod(employee, report->metadata, GenerationMethod::kFd,
-                        config);
-  config.use_value_path = true;
-  auto value = RunMethod(employee, report->metadata, GenerationMethod::kFd,
-                         config);
-  ASSERT_TRUE(code.ok() && value.ok());
-  ASSERT_EQ(code->measures.size(), RiskEstimatorRegistry::All().total_measures());
-  ASSERT_EQ(value->measures.size(), code->measures.size());
-  for (size_t j = 2; j < code->measures.size(); ++j) {
-    SCOPED_TRACE(code->measures[j].estimator + "/" +
-                 code->measures[j].measure);
-    EXPECT_TRUE(code->measures[j].active);
-    EXPECT_FALSE(value->measures[j].active);
+  auto run = RunMethod(employee, report->metadata, GenerationMethod::kFd,
+                       config);
+  ASSERT_TRUE(run.ok());
+  ASSERT_EQ(run->measures.size(),
+            RiskEstimatorRegistry::All().total_measures());
+  for (const RiskMeasureStats& ms : run->measures) {
+    SCOPED_TRACE(ms.estimator + "/" + ms.measure);
+    EXPECT_TRUE(ms.active);
   }
-  // The value-path fallback still fills the match-rate columns.
-  EXPECT_TRUE(value->measures[0].active);
-  EXPECT_TRUE(value->measures[1].active);
 }
 
 TEST(RiskEstimatorTest, RegistryMustLeadWithMatchRate) {

@@ -1,9 +1,12 @@
 // Tests for per-tuple reconstruction risk (privacy/tuple_risk).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/employee.h"
 #include "discovery/discovery_engine.h"
+#include "metadata/metadata_package.h"
 #include "privacy/tuple_risk.h"
 
 namespace metaleak {
@@ -126,6 +129,27 @@ TEST(TupleRiskTest, RenderingShowsRequestedCount) {
   std::string text = risk->ToString(2);
   EXPECT_NE(text.find("Highest-risk tuples"), std::string::npos);
   EXPECT_NE(text.find("Identifiable"), std::string::npos);
+}
+
+TEST(TupleRiskTest, RejectsPackageTheScanCannotScore) {
+  // The counterpart's package discloses both Int 3 and Real 3.0: a real
+  // cell 3 would match two synthetic codes, which one translated code
+  // cannot express, so EncodedLeakageContext::Build rejects it.
+  auto pkg = MetadataPackage::Deserialize(
+      "metaleak-metadata v1\nrows\t3\nattr\tk\tint64\tcategorical\n"
+      "domain\t0\tcategorical\ti:3|d:3|i:4\n");
+  ASSERT_TRUE(pkg.ok()) << pkg.status().ToString();
+  Relation real = std::move(Relation::Make(pkg->schema,
+                                           {{Value::Int(3), Value::Int(4),
+                                             Value::Int(3)}}))
+                      .ValueOrDie();
+  TupleRiskOptions options;
+  options.rounds = 2;
+  Status tuples = AnalyzeTupleRisk(real, *pkg, options).status();
+  EXPECT_TRUE(tuples.IsInvalid()) << tuples.ToString();
+  EXPECT_NE(tuples.message().find("several domain entries cross-type"),
+            std::string::npos)
+      << tuples.ToString();
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/fintech.h"
+#include "metadata/metadata_package.h"
 #include "vfl/attack.h"
 #include "vfl/logistic_regression.h"
 #include "vfl/party.h"
@@ -218,6 +220,27 @@ TEST(AttackTest, SweepCoversAllLevels) {
     EXPECT_EQ((*sweep)[i].leakage.attributes.size(),
               aligned->num_columns());
   }
+}
+
+TEST(AttackTest, SweepRejectsPackageTheScanCannotScore) {
+  // A counterpart's package whose domain discloses both Int 3 and Real
+  // 3.0: from names+domains on, every level is rejected with the reason.
+  auto received = MetadataPackage::Deserialize(
+      "metaleak-metadata v1\nrows\t2\nattr\tk\tint64\tcategorical\n"
+      "domain\t0\tcategorical\ti:3|d:3\n");
+  ASSERT_TRUE(received.ok()) << received.status().ToString();
+  Relation real = std::move(Relation::Make(received->schema,
+                                           {{Value::Int(3), Value::Int(3)}}))
+                      .ValueOrDie();
+  const std::string reason = "several domain entries cross-type";
+  Status attack = SimulateReconstruction(*received, real, 1).status();
+  EXPECT_TRUE(attack.IsInvalid()) << attack.ToString();
+  EXPECT_NE(attack.message().find(reason), std::string::npos)
+      << attack.ToString();
+  Status sweep = SweepDisclosureLevels(*received, real, 1).status();
+  EXPECT_TRUE(sweep.IsInvalid()) << sweep.ToString();
+  EXPECT_NE(sweep.message().find(reason), std::string::npos)
+      << sweep.ToString();
 }
 
 // --- Vertical split ---------------------------------------------------------------

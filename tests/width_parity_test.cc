@@ -8,8 +8,10 @@
 //
 // Width only changes how codes are STORED; the reference cell is the
 // natural-width / scalar / single-threaded run and every other cell in
-// the cube must reproduce it byte for byte. This is the suite the TSan
-// and simd-parity CI jobs run to pin the kernels' value-path parity.
+// the cube must reproduce it byte for byte. The reference cell's
+// experiment must in turn equal the boxed-Value reference in
+// tests/value_reference.h. This is the suite the TSan and simd-parity CI
+// jobs run to pin the kernels' parity.
 #include <cstring>
 #include <optional>
 #include <string>
@@ -30,6 +32,7 @@
 #include "privacy/identifiability.h"
 #include "privacy/leakage.h"
 #include "privacy/leakage_delta.h"
+#include "value_reference.h"
 
 namespace metaleak {
 namespace {
@@ -68,6 +71,25 @@ uint64_t DoubleBits(double d) {
   return u;
 }
 
+// The seeded experiment every cell runs, flattened for exact comparison.
+std::vector<uint64_t> ExperimentBits(const MethodResult& run) {
+  std::vector<uint64_t> bits;
+  for (const auto& attr : run.attributes) {
+    bits.push_back(attr.covered ? 1 : 0);
+    bits.push_back(DoubleBits(attr.mean_matches));
+    bits.push_back(DoubleBits(attr.stddev_matches));
+    bits.push_back(attr.mean_mse.has_value() ? DoubleBits(*attr.mean_mse)
+                                             : 0);
+  }
+  return bits;
+}
+
+ExperimentConfig ExperimentFor() {
+  ExperimentConfig config;
+  config.rounds = 4;
+  return config;
+}
+
 PipelineObservation RunPipeline(const Relation& relation) {
   PipelineObservation out;
   EncodedRelation encoded = EncodedRelation::Encode(relation);
@@ -98,20 +120,11 @@ PipelineObservation RunPipeline(const Relation& relation) {
     }
   }
 
-  ExperimentConfig config;
-  config.rounds = 4;
   ExperimentEngine engine(encoded, report->metadata);
-  Result<MethodResult> run = engine.Run(GenerationMethod::kFd, config);
+  Result<MethodResult> run =
+      engine.Run(GenerationMethod::kFd, ExperimentFor());
   EXPECT_TRUE(run.ok());
-  if (run.ok()) {
-    for (const auto& attr : run->attributes) {
-      out.experiment_bits.push_back(attr.covered ? 1 : 0);
-      out.experiment_bits.push_back(DoubleBits(attr.mean_matches));
-      out.experiment_bits.push_back(DoubleBits(attr.stddev_matches));
-      out.experiment_bits.push_back(
-          attr.mean_mse.has_value() ? DoubleBits(*attr.mean_mse) : 0);
-    }
-  }
+  if (run.ok()) out.experiment_bits = ExperimentBits(*run);
   return out;
 }
 
@@ -151,6 +164,12 @@ void RunMatrix(const Relation& relation) {
   SetGlobalThreadCount(1);
   const PipelineObservation ref = RunPipeline(relation);
   ASSERT_FALSE(ref.metadata.empty());
+  Result<DiscoveryReport> report = ProfileRelation(relation);
+  ASSERT_TRUE(report.ok());
+  auto value = reference::RunMethodValuePath(
+      relation, report->metadata, GenerationMethod::kFd, ExperimentFor());
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(ExperimentBits(*value), ref.experiment_bits);
 
   for (const MatrixCell& cell : Matrix()) {
     if (cell.floor) {
