@@ -19,11 +19,22 @@
 // cached-PLI extension sweep, and the radix-partitioned scatter that
 // FromCodes selects past ~1M codes is timed against a direct scatter
 // written here, which is also the arena it must reproduce.
+//
+// Last, a per-kernel table times every public kernel in common/simd.h
+// on 100k rows at each dispatch level from scalar up to the host's best
+// (median, min and max per call over kKernelRuns runs of kCallsPerRun
+// back-to-back calls), checking each level's output against the scalar
+// reference as it goes. It is the recorded measurement each SIMD level
+// has to justify itself with: the last column says whether the top
+// level's slowest run still beats scalar's fastest.
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -300,6 +311,287 @@ PositionListIndex DirectScatterFromCodes(const std::vector<uint32_t>& codes,
                                           n);
 }
 
+// --- Per-kernel SIMD table ------------------------------------------------
+
+constexpr size_t kKernelRows = 100000;
+constexpr int kKernelRuns = 31;
+// One call takes 3-300 us; timing a short batch per run keeps a single
+// timer tick or interrupt from setting a run's min or max.
+constexpr int kCallsPerRun = 10;
+
+struct KernelCase {
+  std::string name;
+  // Runs the kernel once at `level` and returns a digest of its output.
+  // Accumulating kernels add into their buffer, so `fresh` clears it
+  // first; timed runs pass false and the digest is then meaningless.
+  std::function<uint64_t(SimdLevel, bool fresh)> run;
+};
+
+struct KernelTiming {
+  std::string kernel;
+  SimdLevel level = SimdLevel::kScalar;
+  double median_ms = 0.0;
+  double min_ms = 0.0;
+  double max_ms = 0.0;
+};
+
+uint64_t DigestBytes(const void* data, size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint64_t h = 1469598103934665603ull;  // FNV-1a
+  for (size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  return h;
+}
+
+uint64_t DigestStats(const EpsilonBallStats& s) {
+  const uint64_t counts[2] = {s.matches, s.compared};
+  return DigestBytes(counts, sizeof(counts)) * 31 +
+         DigestBytes(&s.sum_squares, sizeof(s.sum_squares));
+}
+
+// The inputs every kernel case reads: code columns below 200 at each
+// width (half the rows equal, a tenth NULL), doubles with a few NaNs,
+// a probe table with in-range indices, and sorted order-compatible
+// pairs so the OD scan and the all-equal gather run to the end.
+struct KernelInputs {
+  std::vector<uint32_t> a32, b32;
+  std::vector<uint16_t> a16, b16;
+  std::vector<uint8_t> a8, b8;
+  std::vector<double> real, syn, numeric;
+  std::vector<int32_t> table, flat_table;
+  std::vector<uint32_t> idx;
+  std::vector<uint64_t> pairs;
+
+  KernelInputs() {
+    const size_t n = kKernelRows;
+    constexpr uint32_t kNumCodes = 200;
+    Rng rng(23);
+    a32.resize(n);
+    b32.resize(n);
+    real.resize(n);
+    syn.resize(n);
+    idx.resize(n);
+    table.resize(n);
+    pairs.resize(n);
+    for (size_t r = 0; r < n; ++r) {
+      a32[r] = rng.Bernoulli(0.1)
+                   ? 0
+                   : static_cast<uint32_t>(rng.UniformIndex(kNumCodes));
+      b32[r] = rng.Bernoulli(0.5)
+                   ? a32[r]
+                   : static_cast<uint32_t>(rng.UniformIndex(kNumCodes));
+      real[r] = rng.Bernoulli(0.05) ? std::nan("") : rng.UniformDouble(0, 100);
+      syn[r] = rng.Bernoulli(0.05) ? std::nan("") : rng.UniformDouble(0, 100);
+      idx[r] = static_cast<uint32_t>(rng.UniformIndex(n));
+      table[r] = static_cast<int32_t>(rng.UniformIndex(1000));
+      pairs[r] = (uint64_t{r / 4} << 32) | (r / 4);
+    }
+    a16.assign(a32.begin(), a32.end());
+    b16.assign(b32.begin(), b32.end());
+    a8.assign(a32.begin(), a32.end());
+    b8.assign(b32.begin(), b32.end());
+    numeric.resize(kNumCodes);
+    for (double& v : numeric) v = rng.UniformDouble(0, 100);
+    flat_table.assign(n, 7);
+  }
+};
+
+std::vector<KernelCase> KernelCases(const KernelInputs& in,
+                                    std::vector<uint32_t>* acc_buf,
+                                    std::vector<int32_t>* gather_buf) {
+  const size_t n = kKernelRows;
+  const double eps = 5.0;
+  const uint32_t num_codes = static_cast<uint32_t>(in.numeric.size());
+  // Wraps a kernel that adds into the first `slots` entries of acc_buf
+  // (histograms count into num_codes slots, row kernels into n).
+  auto accumulate_into = [acc_buf](size_t slots, auto fn) {
+    return [acc_buf, slots, fn](SimdLevel level, bool fresh) -> uint64_t {
+      if (fresh) std::fill(acc_buf->begin(), acc_buf->end(), 0u);
+      fn(level, acc_buf->data());
+      return fresh ? DigestBytes(acc_buf->data(), slots * sizeof(uint32_t))
+                   : 0;
+    };
+  };
+  auto hist = [&](auto fn) { return accumulate_into(num_codes, fn); };
+  auto accumulate = [&](auto fn) { return accumulate_into(n, fn); };
+  const KernelInputs* p = &in;
+  return {
+      {"CountEqualU32",
+       [p, n](SimdLevel l, bool) {
+         return CountEqualU32(l, p->a32.data(), p->b32.data(), n);
+       }},
+      {"CountEqualU16",
+       [p, n](SimdLevel l, bool) {
+         return CountEqualU16(l, p->a16.data(), p->b16.data(), n);
+       }},
+      {"CountEqualU8",
+       [p, n](SimdLevel l, bool) {
+         return CountEqualU8(l, p->a8.data(), p->b8.data(), n);
+       }},
+      {"CountEqualF64",
+       [p, n](SimdLevel l, bool) {
+         return CountEqualF64(l, p->real.data(), p->syn.data(), n);
+       }},
+      {"EpsilonBallMse",
+       [p, n, eps](SimdLevel l, bool) {
+         return DigestStats(
+             EpsilonBallMse(l, p->real.data(), p->syn.data(), n, eps));
+       }},
+      {"EpsilonBallMseCoded/u32",
+       [p, n, eps](SimdLevel l, bool) {
+         EpsilonBallStats s;
+         EpsilonBallMseCodedInto(l, p->real.data(), p->a32.data(),
+                                 p->numeric.data(), n, eps, &s);
+         return DigestStats(s);
+       }},
+      {"EpsilonBallMseCoded/u16",
+       [p, n, eps](SimdLevel l, bool) {
+         EpsilonBallStats s;
+         EpsilonBallMseCodedInto(l, p->real.data(), p->a16.data(),
+                                 p->numeric.data(), n, eps, &s);
+         return DigestStats(s);
+       }},
+      {"EpsilonBallMseCoded/u8",
+       [p, n, eps](SimdLevel l, bool) {
+         EpsilonBallStats s;
+         EpsilonBallMseCodedInto(l, p->real.data(), p->a8.data(),
+                                 p->numeric.data(), n, eps, &s);
+         return DigestStats(s);
+       }},
+      {"HistogramU32", hist([p, n, num_codes](SimdLevel l, uint32_t* out) {
+         HistogramU32(l, p->a32.data(), n, num_codes, out);
+       })},
+      {"HistogramU16", hist([p, n, num_codes](SimdLevel l, uint32_t* out) {
+         HistogramU16(l, p->a16.data(), n, num_codes, out);
+       })},
+      {"HistogramU8", hist([p, n, num_codes](SimdLevel l, uint32_t* out) {
+         HistogramU8(l, p->a8.data(), n, num_codes, out);
+       })},
+      {"GatherI32",
+       [p, n, gather_buf](SimdLevel l, bool fresh) {
+         GatherI32(l, p->table.data(), p->idx.data(), n, gather_buf->data());
+         return fresh ? DigestBytes(gather_buf->data(), n * sizeof(int32_t))
+                      : 0;
+       }},
+      {"AllGatherEqualI32",
+       [p, n](SimdLevel l, bool) {
+         return static_cast<uint64_t>(AllGatherEqualI32(
+             l, p->flat_table.data(), p->idx.data(), n, 7));
+       }},
+      {"OdViolationInRange",
+       [p, n](SimdLevel l, bool) {
+         return static_cast<uint64_t>(
+             OdViolationInRange(l, p->pairs.data(), 1, n, /*strict=*/false));
+       }},
+      {"AccumulateEqualU32",
+       accumulate([p, n](SimdLevel l, uint32_t* out) {
+         AccumulateEqualU32(l, p->a32.data(), p->b32.data(), n, out);
+       })},
+      {"AccumulateEqualU16",
+       accumulate([p, n](SimdLevel l, uint32_t* out) {
+         AccumulateEqualU16(l, p->a16.data(), p->b16.data(), n, out);
+       })},
+      {"AccumulateEqualU8",
+       accumulate([p, n](SimdLevel l, uint32_t* out) {
+         AccumulateEqualU8(l, p->a8.data(), p->b8.data(), n, out);
+       })},
+      {"AccumulateEqualF64",
+       accumulate([p, n](SimdLevel l, uint32_t* out) {
+         AccumulateEqualF64(l, p->real.data(), p->syn.data(), n, out);
+       })},
+      {"AccumulateEpsilonMatch",
+       accumulate([p, n, eps](SimdLevel l, uint32_t* out) {
+         AccumulateEpsilonMatch(l, p->real.data(), p->syn.data(), n, eps,
+                                out);
+       })},
+      {"AccumulateEpsilonMatchCoded/u32",
+       accumulate([p, n, eps](SimdLevel l, uint32_t* out) {
+         AccumulateEpsilonMatchCoded(l, p->real.data(), p->a32.data(),
+                                     p->numeric.data(), n, eps, out);
+       })},
+      {"AccumulateEpsilonMatchCoded/u16",
+       accumulate([p, n, eps](SimdLevel l, uint32_t* out) {
+         AccumulateEpsilonMatchCoded(l, p->real.data(), p->a16.data(),
+                                     p->numeric.data(), n, eps, out);
+       })},
+      {"AccumulateEpsilonMatchCoded/u8",
+       accumulate([p, n, eps](SimdLevel l, uint32_t* out) {
+         AccumulateEpsilonMatchCoded(l, p->real.data(), p->a8.data(),
+                                     p->numeric.data(), n, eps, out);
+       })},
+      {"AccumulateNonNull/u32",
+       accumulate([p, n](SimdLevel l, uint32_t* out) {
+         AccumulateNonNull(l, p->a32.data(), n, out);
+       })},
+      {"AccumulateNonNull/u16",
+       accumulate([p, n](SimdLevel l, uint32_t* out) {
+         AccumulateNonNull(l, p->a16.data(), n, out);
+       })},
+      {"AccumulateNonNull/u8",
+       accumulate([p, n](SimdLevel l, uint32_t* out) {
+         AccumulateNonNull(l, p->a8.data(), n, out);
+       })},
+  };
+}
+
+// Times every kernel case at every level the host supports. Returns
+// false (after reporting) if any level's output differs from scalar's.
+bool TimeKernelTable(std::vector<KernelTiming>* timings) {
+  const KernelInputs inputs;
+  std::vector<uint32_t> acc_buf(kKernelRows);
+  std::vector<int32_t> gather_buf(kKernelRows);
+  std::vector<SimdLevel> levels;
+  for (int l = 0; l <= static_cast<int>(SupportedSimdLevel()); ++l) {
+    levels.push_back(static_cast<SimdLevel>(l));
+  }
+  bool parity_ok = true;
+  volatile uint64_t sink = 0;  // keeps the scalar-result kernels live
+  std::printf(
+      "per-kernel table: %zu rows, %d runs x %d calls, median [min-max] us "
+      "per call\n",
+      kKernelRows, kKernelRuns, kCallsPerRun);
+  std::printf("| kernel |");
+  for (SimdLevel level : levels) std::printf(" %s |", SimdLevelName(level));
+  std::printf(" %s/scalar | beyond spread |\n|---|",
+              SimdLevelName(levels.back()));
+  for (size_t i = 0; i <= levels.size() + 1; ++i) std::printf("---|");
+  std::printf("\n");
+  for (const KernelCase& kc : KernelCases(inputs, &acc_buf, &gather_buf)) {
+    const uint64_t ref = kc.run(SimdLevel::kScalar, /*fresh=*/true);
+    std::printf("| %s |", kc.name.c_str());
+    KernelTiming scalar;
+    KernelTiming top;
+    for (SimdLevel level : levels) {
+      if (kc.run(level, /*fresh=*/true) != ref) {
+        std::fprintf(stderr, "SIMD parity FAILED: %s at %s\n",
+                     kc.name.c_str(), SimdLevelName(level));
+        parity_ok = false;
+      }
+      std::vector<double> ms(kKernelRuns);
+      for (double& t : ms) {
+        const auto start = std::chrono::steady_clock::now();
+        for (int call = 0; call < kCallsPerRun; ++call) {
+          sink = sink + kc.run(level, /*fresh=*/false);
+        }
+        const auto stop = std::chrono::steady_clock::now();
+        t = std::chrono::duration<double, std::milli>(stop - start).count() /
+            kCallsPerRun;
+      }
+      std::sort(ms.begin(), ms.end());
+      const KernelTiming timing{kc.name, level, ms[ms.size() / 2], ms.front(),
+                                ms.back()};
+      timings->push_back(timing);
+      if (level == SimdLevel::kScalar) scalar = timing;
+      top = timing;
+      std::printf(" %.1f [%.1f-%.1f] |", timing.median_ms * 1e3,
+                  timing.min_ms * 1e3, timing.max_ms * 1e3);
+    }
+    std::printf(" %.2fx | %s |\n", scalar.median_ms / top.median_ms,
+                top.max_ms < scalar.min_ms ? "yes" : "no");
+  }
+  std::printf("\n");
+  return parity_ok;
+}
+
 int Main() {
   const std::vector<size_t> kRowCounts = {10000, 50000, 200000};
   std::vector<BenchRecord> records;
@@ -537,6 +829,9 @@ int Main() {
     records.push_back({"build_highcard", "radix_scatter", n, radix_ms});
   }
 
+  std::vector<KernelTiming> kernel_timings;
+  if (!TimeKernelTable(&kernel_timings)) simd_parity_ok = false;
+
   std::ofstream json("BENCH_partition.json");
   json << "{\n  " << BenchMetadataJson()
        << ",\n  \"sweep_width2_speedup_50k\": " << speedup_50k
@@ -551,6 +846,17 @@ int Main() {
     json << "    {\"op\": \"" << r.op << "\", \"layout\": \"" << r.layout
          << "\", \"rows\": " << r.rows << ", \"ms\": " << r.ms << "}"
          << (i + 1 < records.size() ? "," : "") << "\n";
+  }
+  json << "  ],\n  \"simd_kernels\": [\n";
+  for (size_t i = 0; i < kernel_timings.size(); ++i) {
+    const KernelTiming& t = kernel_timings[i];
+    json << "    {\"kernel\": \"" << t.kernel << "\", \"level\": \""
+         << SimdLevelName(t.level) << "\", \"rows\": " << kKernelRows
+         << ", \"runs\": " << kKernelRuns
+         << ", \"calls_per_run\": " << kCallsPerRun << ", \"median_ms\": "
+         << t.median_ms << ", \"min_ms\": " << t.min_ms
+         << ", \"max_ms\": " << t.max_ms << "}"
+         << (i + 1 < kernel_timings.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   std::printf("wrote BENCH_partition.json (%zu records, 50k sweep %.2fx)\n",

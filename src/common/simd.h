@@ -4,13 +4,13 @@
 // doubles (CSR probe tables, the fused Def 2.2/2.3 match+MSE scan,
 // lexicographic OD/OFD pair scans, identifiability bitmaps). This layer
 // provides the handful of primitives those scans actually need, each in
-// up to three codegen variants:
+// two codegen variants:
 //
-//   * an always-available scalar reference (the semantics oracle),
-//   * an SSE4.2 path (128-bit lanes), and
+//   * an always-available scalar reference (the semantics oracle, and
+//     the only path on CPUs without AVX2 and on non-x86 targets), and
 //   * an AVX2 path (256-bit lanes, hardware gathers),
 //
-// selected at runtime by CPU feature detection. The vector paths are
+// selected at runtime by CPU feature detection. The AVX2 paths are
 // compiled with per-function target attributes, so the library binary
 // stays generic-arch: an AVX2 kernel is *present* in every build but only
 // *dispatched* on hardware that supports it.
@@ -19,16 +19,18 @@
 // scalar reference on every input — including NaN handling and the order
 // of floating-point accumulation (the epsilon-ball kernel adds masked
 // squares in row order precisely so the MSE sum rounds exactly like the
-// sequential reference; see EpsilonBallMse in simd.cc). Consumers
+// sequential reference; see Avx2EpsilonBallMseBody in simd.cc). Consumers
 // therefore keep the library-wide bit-identical guarantees (code path ==
-// value path, threads-1 == threads-8) at any dispatch level, and the
+// value path, threads-1 == threads-8) at either dispatch level, and the
 // golden-parity suites double as the gate for these kernels.
 //
-// Dispatch control: `METALEAK_SIMD` caps the level ("off"/"scalar",
-// "sse4.2", "avx2"; unset/"auto" picks the best supported). The resolved
-// level is logged once (INFO) on first use and surfaced in the audit
-// markdown and the bench JSON metadata. Tests and benches can force a
-// level in-process with SetSimdLevelOverride.
+// Dispatch control: `METALEAK_SIMD` caps the level: "off" (also
+// "scalar", "0", "none") forces the scalar reference; unset, "auto" and
+// "avx2" pick the best supported level; any other value logs a warning
+// and is treated as "auto". The resolved level is logged once (INFO) on
+// first use and surfaced in the audit markdown and the bench JSON
+// metadata. Tests and benches can force a level in-process with
+// SetSimdLevelOverride.
 //
 // Bit-parallel row sets: cluster membership and identifiability bitmaps
 // are packed 64 rows to a word, so OR/AND-NOT merges and popcounts touch
@@ -50,11 +52,10 @@ namespace metaleak {
 /// every level below it.
 enum class SimdLevel : int {
   kScalar = 0,
-  kSse42 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
-/// Human-readable level name: "scalar", "sse4.2", "avx2".
+/// Human-readable level name: "scalar", "avx2".
 const char* SimdLevelName(SimdLevel level);
 
 /// Best level this CPU can execute (cached after the first query).

@@ -13,10 +13,13 @@
 // level, at 1 and 8 threads, asserting identical results.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -41,9 +44,6 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 std::vector<SimdLevel> SupportedLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (SupportedSimdLevel() >= SimdLevel::kSse42) {
-    levels.push_back(SimdLevel::kSse42);
-  }
   if (SupportedSimdLevel() >= SimdLevel::kAvx2) {
     levels.push_back(SimdLevel::kAvx2);
   }
@@ -77,7 +77,6 @@ std::vector<size_t> EdgeSizes() {
 
 TEST(SimdDispatchTest, LevelNamesAndOrdering) {
   EXPECT_STREQ(SimdLevelName(SimdLevel::kScalar), "scalar");
-  EXPECT_STREQ(SimdLevelName(SimdLevel::kSse42), "sse4.2");
   EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx2), "avx2");
   EXPECT_GE(SupportedSimdLevel(), SimdLevel::kScalar);
   EXPECT_LE(ActiveSimdLevel(), SupportedSimdLevel());
@@ -92,6 +91,23 @@ TEST(SimdDispatchTest, OverrideClampsToSupported) {
   EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
   ClearSimdLevelOverride();
   EXPECT_LE(ActiveSimdLevel(), SupportedSimdLevel());
+}
+
+// METALEAK_SIMD parsing. ctest also runs this test with METALEAK_SIMD set
+// to "off" and to the retired "sse4.2" (tests/CMakeLists.txt), so the
+// off values and the unrecognized-value fallback are both pinned.
+TEST(SimdDispatchTest, EnvSettingMapsToLevel) {
+  ClearSimdLevelOverride();
+  std::string env = SimdEnvSetting();
+  for (char& ch : env) ch = static_cast<char>(std::tolower(ch));
+  const bool off =
+      env == "off" || env == "scalar" || env == "0" || env == "none";
+  EXPECT_EQ(ActiveSimdLevel(),
+            off ? SimdLevel::kScalar : SupportedSimdLevel())
+      << "METALEAK_SIMD=" << SimdEnvSetting();
+  const char* raw = std::getenv("METALEAK_SIMD");
+  EXPECT_STREQ(SimdEnvSetting(),
+               raw != nullptr && raw[0] != '\0' ? raw : "unset");
 }
 
 TEST(SimdDispatchTest, HostInfoIsPopulated) {
@@ -649,8 +665,9 @@ INSTANTIATE_TEST_SUITE_P(Threads, SimdConsumerParityTest,
 //
 // The same logical code sequence stored at u8/u16/u32 must drive every
 // code kernel to byte-identical answers, at every dispatch level. The
-// fixtures keep all codes below 200 so one sequence is representable at
-// all three widths.
+// shared fixtures keep all codes below 200 so one sequence is
+// representable at all three widths; a second input spans each width's
+// whole code range (ExpectFullRangeParity).
 
 struct WidthViews {
   std::vector<uint8_t> v8;
@@ -668,6 +685,99 @@ struct WidthViews {
             {v32.data(), v32.size(), CodeWidth::kU32}};
   }
 };
+
+// Every code kernel's output on one pair of columns at one level.
+struct CodeKernelOutputs {
+  size_t count_equal = 0;
+  std::vector<uint32_t> acc_equal;
+  std::vector<uint32_t> acc_non_null;
+  std::vector<uint32_t> acc_epsilon;
+  std::vector<uint32_t> hist;
+  EpsilonBallStats ball;
+};
+
+CodeKernelOutputs RunCodeKernels(SimdLevel level, const CodeColumnView& a,
+                                 const CodeColumnView& b,
+                                 const std::vector<double>& real,
+                                 const std::vector<double>& numeric) {
+  CodeKernelOutputs out;
+  out.count_equal = CountEqualCodes(level, a, b);
+  out.acc_equal.assign(a.size, 0);
+  AccumulateEqualCodes(level, a, b, out.acc_equal.data());
+  out.acc_non_null.assign(a.size, 0);
+  AccumulateNonNullCodes(level, a, out.acc_non_null.data());
+  out.acc_epsilon.assign(a.size, 0);
+  AccumulateEpsilonMatchCodes(level, real.data(), a, numeric.data(), 1.5,
+                              out.acc_epsilon.data());
+  out.hist.assign(numeric.size(), 0);
+  HistogramCodes(level, a, static_cast<uint32_t>(numeric.size()),
+                 out.hist.data());
+  EpsilonBallMseCodedInto(level, real.data(), a, numeric.data(), 1.5,
+                          &out.ball);
+  return out;
+}
+
+// Codes of one width drawn up to `max_code`, its largest non-sentinel
+// value. A quarter of the draws are 0, max_code, or a multiple of `high`
+// (the lowest bit the next narrower width lacks, so the low byte or low
+// half is zero), and some of b differs from a only in that bit. A body
+// that compared or widened only the low byte or low half of a code
+// would disagree with the scalar reference here.
+template <typename Code>
+void ExpectFullRangeParity(Rng& rng, size_t n, uint32_t max_code) {
+  const uint32_t high =
+      max_code > 0xFFFFu ? 0x10000u : (max_code > 0xFFu ? 0x100u : 0x80u);
+  auto draw = [&]() -> Code {
+    switch (rng.UniformIndex(8)) {
+      case 0:
+        return 0;
+      case 1:
+        return static_cast<Code>(max_code);
+      case 2:
+        return static_cast<Code>((rng.UniformIndex(max_code / high) + 1) *
+                                 high);
+      default:
+        return static_cast<Code>(rng.UniformIndex(size_t{max_code} + 1));
+    }
+  };
+  std::vector<Code> a(n), b(n);
+  std::vector<double> real(n);
+  for (size_t r = 0; r < n; ++r) {
+    a[r] = draw();
+    const uint32_t flipped = a[r] ^ high;
+    if (rng.Bernoulli(0.4)) {
+      b[r] = a[r];
+    } else if (rng.Bernoulli(0.5) && flipped <= max_code) {
+      b[r] = static_cast<Code>(flipped);
+    } else {
+      b[r] = draw();
+    }
+    real[r] = rng.Bernoulli(0.1) ? kNaN : rng.UniformDouble(0.0, 200.0);
+  }
+  std::vector<double> numeric(size_t{max_code} + 1);
+  for (double& v : numeric) v = rng.UniformDouble(0.0, 200.0);
+  const CodeWidth width = static_cast<CodeWidth>(sizeof(Code));
+  const CodeColumnView av{a.data(), n, width};
+  const CodeColumnView bv{b.data(), n, width};
+
+  const CodeKernelOutputs ref =
+      RunCodeKernels(SimdLevel::kScalar, av, bv, real, numeric);
+  for (SimdLevel level : SupportedLevels()) {
+    const CodeKernelOutputs got = RunCodeKernels(level, av, bv, real, numeric);
+    const std::string where = std::string(CodeWidthName(width)) +
+                              " n=" + std::to_string(n) + " level=" +
+                              SimdLevelName(level);
+    EXPECT_EQ(got.count_equal, ref.count_equal) << where;
+    EXPECT_EQ(got.acc_equal, ref.acc_equal) << where;
+    EXPECT_EQ(got.acc_non_null, ref.acc_non_null) << where;
+    EXPECT_EQ(got.acc_epsilon, ref.acc_epsilon) << where;
+    EXPECT_EQ(got.hist, ref.hist) << where;
+    EXPECT_EQ(got.ball.matches, ref.ball.matches) << where;
+    EXPECT_EQ(got.ball.compared, ref.ball.compared) << where;
+    EXPECT_TRUE(BitEqual(got.ball.sum_squares, ref.ball.sum_squares))
+        << where;
+  }
+}
 
 TEST(SimdKernelTest, WidthVariantsAgreeOnCodeKernels) {
   Rng rng(404);
@@ -728,6 +838,14 @@ TEST(SimdKernelTest, WidthVariantsAgreeOnCodeKernels) {
             << "n=" << n;
       }
     }
+  }
+
+  // Full-range input: each width on codes up to its largest non-sentinel
+  // value, against the scalar reference at the same width.
+  for (size_t n : EdgeSizes()) {
+    ExpectFullRangeParity<uint8_t>(rng, n, 0xFEu);
+    ExpectFullRangeParity<uint16_t>(rng, n, 0xFFFEu);
+    ExpectFullRangeParity<uint32_t>(rng, n, 0x3FFFFu);
   }
 }
 
