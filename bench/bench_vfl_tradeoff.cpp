@@ -1,17 +1,13 @@
 // E5 — the VFL utility-vs-privacy trade-off, run on the N-party
 // federation topology.
 //
-// Three axes, all written to BENCH_vfl.json:
+// Two axes, both written to BENCH_vfl.json:
 //
-//   1. Topology parity gate: the 2-node full-disclosure topology must
-//      reproduce the pre-refactor two-party RunScenario orchestration
-//      bit-identically ("topology_parity": "ok"; any disagreement exits
-//      non-zero).
-//   2. Policy Pareto sweep on the fintech federation: utility (joint
+//   1. Policy Pareto sweep on the fintech federation: utility (joint
 //      model accuracy) vs leakage (coalition reconstruction match rate)
 //      per candidate MetadataPolicy. The acceptance number is
 //      "pareto_frontier_points" >= 3 with distinct trade-offs.
-//   3. Coalition scaling: leakage as the attacker coalition grows from 1
+//   2. Coalition scaling: leakage as the attacker coalition grows from 1
 //      to 3 parties in a fully-connected 4-party federation, plus
 //      Align/train/attack wall-clock at 10k-50k rows.
 #include <chrono>
@@ -27,9 +23,6 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "data/datasets/fintech.h"
-#include "vfl/attack.h"
-#include "vfl/logistic_regression.h"
-#include "vfl/scenario.h"
 #include "vfl/topology.h"
 
 namespace metaleak {
@@ -41,115 +34,7 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// --- Axis 1: two-party parity gate --------------------------------------------
-
-// The pre-refactor RunScenario orchestration, rebuilt from the two-party
-// primitives it used. RunScenario itself now routes through
-// FederationTopology; this is the golden reference it must match.
-Result<ScenarioOutcome> ReferenceRunScenario(const Party& party_a,
-                                             const Party& party_b,
-                                             const ScenarioOptions& options) {
-  ScenarioOutcome outcome;
-  METALEAK_ASSIGN_OR_RETURN(std::vector<PsiToken> tokens_a,
-                            party_a.PsiTokens(options.psi_salt));
-  METALEAK_ASSIGN_OR_RETURN(std::vector<PsiToken> tokens_b,
-                            party_b.PsiTokens(options.psi_salt));
-  METALEAK_ASSIGN_OR_RETURN(PsiResult psi,
-                            IntersectTokens(tokens_a, tokens_b));
-  outcome.intersection_size = psi.size();
-  if (psi.size() == 0) return Status::Invalid("PSI intersection is empty");
-
-  METALEAK_ASSIGN_OR_RETURN(Relation slice_a,
-                            party_a.AlignedFeatures(psi.rows_a));
-  METALEAK_ASSIGN_OR_RETURN(Relation slice_b,
-                            party_b.AlignedFeatures(psi.rows_b));
-  METALEAK_ASSIGN_OR_RETURN(
-      size_t label_col,
-      slice_a.schema().RequireIndex(options.label_attribute));
-  std::vector<int> labels;
-  for (size_t r = 0; r < slice_a.num_rows(); ++r) {
-    const Value& v = slice_a.at(r, label_col);
-    labels.push_back(
-        !v.is_null() && v.is_numeric() && v.AsNumeric() >= 0.5 ? 1 : 0);
-  }
-  std::vector<size_t> a_cols;
-  for (size_t c = 0; c < slice_a.num_columns(); ++c) {
-    if (c != label_col) a_cols.push_back(c);
-  }
-  Relation features_a = slice_a.Project(a_cols);
-
-  METALEAK_ASSIGN_OR_RETURN(
-      VflModel joint, TrainVerticalLogisticRegression(features_a, slice_b,
-                                                      labels, options.train));
-  METALEAK_ASSIGN_OR_RETURN(outcome.joint_accuracy,
-                            Accuracy(joint, features_a, slice_b, labels));
-  Schema const_schema(
-      {{"__const", DataType::kInt64, SemanticType::kCategorical}});
-  std::vector<std::vector<Value>> const_col(1);
-  const_col[0].assign(features_a.num_rows(), Value::Int(0));
-  METALEAK_ASSIGN_OR_RETURN(
-      Relation const_b, Relation::Make(const_schema, std::move(const_col)));
-  METALEAK_ASSIGN_OR_RETURN(
-      VflModel solo, TrainVerticalLogisticRegression(features_a, const_b,
-                                                     labels, options.train));
-  METALEAK_ASSIGN_OR_RETURN(outcome.party_a_only_accuracy,
-                            Accuracy(solo, features_a, const_b, labels));
-  METALEAK_ASSIGN_OR_RETURN(
-      MetadataPackage shared_b,
-      party_b.ShareMetadata(DisclosureLevel::kWithRfds));
-  METALEAK_ASSIGN_OR_RETURN(
-      outcome.leakage_by_level,
-      SweepDisclosureLevels(shared_b, slice_b, options.attack_seed));
-  return outcome;
-}
-
-bool OutcomesBitIdentical(const ScenarioOutcome& a,
-                          const ScenarioOutcome& b) {
-  if (a.intersection_size != b.intersection_size ||
-      a.joint_accuracy != b.joint_accuracy ||
-      a.party_a_only_accuracy != b.party_a_only_accuracy ||
-      a.leakage_by_level.size() != b.leakage_by_level.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.leakage_by_level.size(); ++i) {
-    const AttackResult& x = a.leakage_by_level[i];
-    const AttackResult& y = b.leakage_by_level[i];
-    if (x.level != y.level || x.reconstructed != y.reconstructed ||
-        x.leakage.attributes.size() != y.leakage.attributes.size()) {
-      return false;
-    }
-    for (size_t c = 0; c < x.leakage.attributes.size(); ++c) {
-      const AttributeLeakage& p = x.leakage.attributes[c];
-      const AttributeLeakage& q = y.leakage.attributes[c];
-      if (p.matches != q.matches || p.rows_compared != q.rows_compared ||
-          p.match_rate != q.match_rate ||
-          p.mse.has_value() != q.mse.has_value() ||
-          (p.mse.has_value() && *p.mse != *q.mse)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool CheckTopologyParity() {
-  datasets::FintechScenario s = datasets::Fintech();
-  Party bank("bank", s.bank, "customer_id");
-  Party ecom("ecommerce", s.ecommerce, "customer_id");
-  ScenarioOptions options;
-  options.train.epochs = 120;
-  auto reference = ReferenceRunScenario(bank, ecom, options);
-  auto topology = RunScenario(bank, ecom, options);
-  if (!reference.ok() || !topology.ok()) {
-    std::fprintf(stderr, "parity scenario failed: %s / %s\n",
-                 reference.status().ToString().c_str(),
-                 topology.status().ToString().c_str());
-    return false;
-  }
-  return OutcomesBitIdentical(*reference, *topology);
-}
-
-// --- Axis 2: policy Pareto sweep ----------------------------------------------
+// --- Axis 1: policy Pareto sweep ----------------------------------------------
 
 std::vector<MetadataPolicy> CandidatePolicies() {
   std::vector<MetadataPolicy> policies;
@@ -228,7 +113,7 @@ Result<ParetoAxis> RunParetoSweep() {
   return axis;
 }
 
-// --- Axis 3: coalition sizes and row scaling ----------------------------------
+// --- Axis 2: coalition sizes and row scaling ----------------------------------
 
 struct CoalitionRecord {
   size_t size = 0;
@@ -341,11 +226,15 @@ Result<std::vector<ScalingRecord>> RunRowScaling() {
     record.align_ms = MsSince(start);
     record.intersection = alignment.intersection_size();
 
+    // "Train" covers the joint model and the label-party-alone baseline.
     start = std::chrono::steady_clock::now();
     METALEAK_ASSIGN_OR_RETURN(UtilityOutcome utility,
                               topo.EvaluateUtility(alignment, options));
+    METALEAK_ASSIGN_OR_RETURN(double bank_only,
+                              topo.LabelPartyOnlyAccuracy(alignment, options));
     record.utility_ms = MsSince(start);
     (void)utility;
+    (void)bank_only;
 
     CoalitionSpec spec;
     spec.attackers = {bank};
@@ -365,17 +254,7 @@ int Main() {
   std::printf("N-PARTY FEDERATION: policy Pareto sweep and coalition "
               "adversaries\n\n");
 
-  // 1) Parity gate.
-  const bool parity_ok = CheckTopologyParity();
-  std::printf("two-party topology parity: %s\n\n",
-              parity_ok ? "ok" : "MISMATCH");
-  if (!parity_ok) {
-    std::fprintf(stderr,
-                 "parity FAILED: the 2-node topology does not reproduce "
-                 "RunScenario\n");
-  }
-
-  // 2) Pareto sweep.
+  // 1) Pareto sweep.
   auto pareto = RunParetoSweep();
   if (!pareto.ok()) {
     std::fprintf(stderr, "pareto sweep failed: %s\n",
@@ -402,7 +281,7 @@ int Main() {
                  "pareto FAILED: fewer than 3 distinct frontier points\n");
   }
 
-  // 3) Coalition sizes + row scaling.
+  // 2) Coalition sizes + row scaling.
   auto coalitions = RunCoalitionSizes();
   if (!coalitions.ok()) {
     std::fprintf(stderr, "coalition axis failed: %s\n",
@@ -440,9 +319,8 @@ int Main() {
 
   // --- JSON artifact ----------------------------------------------------
   std::ofstream json("BENCH_vfl.json");
-  json << "{\n  " << BenchMetadataJson() << ",\n  \"topology_parity\": \""
-       << (parity_ok ? "ok" : "MISMATCH")
-       << "\",\n  \"pareto_frontier_points\": " << pareto->distinct_tradeoffs
+  json << "{\n  " << BenchMetadataJson()
+       << ",\n  \"pareto_frontier_points\": " << pareto->distinct_tradeoffs
        << ",\n  \"pareto\": [\n";
   for (size_t i = 0; i < pareto->points.size(); ++i) {
     const ParetoPoint& p = pareto->points[i];
@@ -473,10 +351,9 @@ int Main() {
          << (i + 1 < scaling->size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
-  std::printf("\nwrote BENCH_vfl.json (parity %s, %zu distinct frontier "
-              "points)\n",
-              parity_ok ? "ok" : "MISMATCH", pareto->distinct_tradeoffs);
-  return parity_ok && frontier_ok ? 0 : 1;
+  std::printf("\nwrote BENCH_vfl.json (%zu distinct frontier points)\n",
+              pareto->distinct_tradeoffs);
+  return frontier_ok ? 0 : 1;
 }
 
 }  // namespace

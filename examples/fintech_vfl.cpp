@@ -13,7 +13,6 @@
 #include "data/datasets/fintech.h"
 #include "privacy/experiment.h"
 #include "vfl/psi.h"
-#include "vfl/scenario.h"
 #include "vfl/topology.h"
 
 using namespace metaleak;  // Example code; library code never does this.
@@ -42,33 +41,70 @@ int main() {
   std::printf("== Metadata party B sends to party A ==\n%s\n",
               shared->Serialize().c_str());
 
-  // Full pipeline: PSI -> exchange -> train -> attack.
-  ScenarioOptions options;
+  // Full pipeline: PSI -> exchange -> train -> attack, as a 2-node
+  // federation: the e-commerce company discloses to the bank, which holds
+  // the label.
+  FederationTopology pair;
+  const size_t bank_node = pair.AddParty(bank);
+  const size_t ecommerce_node = pair.AddParty(ecommerce);
+  if (!pair.AddEdge(ecommerce_node, bank_node,
+                    MetadataPolicy::AtLevel(DisclosureLevel::kWithRfds))
+           .ok()) {
+    std::fprintf(stderr, "topology construction failed\n");
+    return 1;
+  }
+  TopologyOptions options;
+  options.label_party = bank_node;
   options.train.epochs = 250;
-  Result<ScenarioOutcome> outcome = RunScenario(bank, ecommerce, options);
-  if (!outcome.ok()) {
+  Result<TopologyAlignment> pair_alignment = pair.Align(options);
+  if (!pair_alignment.ok()) {
     std::fprintf(stderr, "scenario failed: %s\n",
-                 outcome.status().ToString().c_str());
+                 pair_alignment.status().ToString().c_str());
+    return 1;
+  }
+  Result<UtilityOutcome> utility =
+      pair.EvaluateUtility(*pair_alignment, options);
+  Result<double> bank_only =
+      pair.LabelPartyOnlyAccuracy(*pair_alignment, options);
+  if (!utility.ok() || !bank_only.ok()) {
+    std::fprintf(stderr, "training failed: %s\n",
+                 (utility.ok() ? bank_only.status() : utility.status())
+                     .ToString()
+                     .c_str());
     return 1;
   }
 
   std::printf("== Pipeline results ==\n");
   std::printf("PSI aligned %zu customers without exchanging raw ids.\n",
-              outcome->intersection_size);
+              pair_alignment->intersection_size());
   std::printf("Bank-only accuracy: %s; joint VFL accuracy: %s.\n\n",
-              FormatDouble(outcome->party_a_only_accuracy, 4).c_str(),
-              FormatDouble(outcome->joint_accuracy, 4).c_str());
+              FormatDouble(*bank_only, 4).c_str(),
+              FormatDouble(utility->joint_accuracy, 4).c_str());
 
+  // The bank attacks B's slice once per disclosure level: the edge's
+  // policy is overridden level by level.
   TablePrinter table("Bank's reconstruction of B's slice, per disclosure");
   table.SetHeader({"Level", "Attribute", "Match rate", "MSE"});
-  for (const AttackResult& level : outcome->leakage_by_level) {
-    if (!level.reconstructed) {
-      table.AddRow({DisclosureLevelToString(level.level),
-                    "(not reconstructable)", "-", "-"});
+  for (DisclosureLevel level :
+       {DisclosureLevel::kNames, DisclosureLevel::kNamesAndDomains,
+        DisclosureLevel::kWithFds, DisclosureLevel::kWithRfds}) {
+    CoalitionSpec spec;
+    spec.attackers = {bank_node};
+    spec.policy_override = MetadataPolicy::AtLevel(level);
+    Result<CoalitionOutcome> attack =
+        pair.EvaluateCoalition(*pair_alignment, spec, options);
+    if (!attack.ok()) {
+      std::fprintf(stderr, "attack failed: %s\n",
+                   attack.status().ToString().c_str());
+      return 1;
+    }
+    if (!attack->reconstructed) {
+      table.AddRow({DisclosureLevelToString(level), "(not reconstructable)",
+                    "-", "-"});
       continue;
     }
-    for (const AttributeLeakage& a : level.leakage.attributes) {
-      table.AddRow({DisclosureLevelToString(level.level), a.name,
+    for (const AttributeLeakage& a : attack->leakage.attributes) {
+      table.AddRow({DisclosureLevelToString(level), a.name,
                     FormatDouble(a.match_rate, 4),
                     a.mse.has_value() ? FormatDouble(*a.mse, 1) : "-"});
     }
@@ -84,9 +120,9 @@ int main() {
   Result<std::vector<PsiToken>> tokens_a = bank.PsiTokens(/*salt=*/11);
   Result<std::vector<PsiToken>> tokens_b = ecommerce.PsiTokens(11);
   if (!tokens_a.ok() || !tokens_b.ok()) return 1;
-  Result<PsiResult> psi = IntersectTokens(*tokens_a, *tokens_b);
+  Result<MultiPsiResult> psi = IntersectAllTokens({*tokens_a, *tokens_b});
   if (!psi.ok()) return 1;
-  Result<Relation> aligned_b = ecommerce.AlignedFeatures(psi->rows_b);
+  Result<Relation> aligned_b = ecommerce.AlignedFeatures(psi->rows[1]);
   if (!aligned_b.ok()) return 1;
 
   ExperimentConfig config;

@@ -68,8 +68,8 @@ GenerationOptions OptionsForMethod(GenerationMethod method) {
       out.ignore_dependencies = true;
       break;
     case GenerationMethod::kFull:
-      // Defaults: every disclosed dependency class drives generation —
-      // the exact options SimulateReconstruction uses.
+      // Defaults: every disclosed dependency class drives generation, as
+      // the coalition adversary of vfl/topology needs.
       break;
   }
   return out;

@@ -42,9 +42,10 @@ enum class GenerationMethod {
   /// Conditional FDs: random roots repaired to satisfy disclosed CFDs.
   kCfd,
   /// Everything the package discloses at once (all dependency classes +
-  /// distributions when present) — the adversary of the attack simulator,
-  /// as opposed to the single-class ablation columns above. Every
-  /// attribute counts as covered.
+  /// distributions when present) — the coalition adversary of
+  /// FederationTopology::EvaluateCoalition, as opposed to the
+  /// single-class ablation columns above. Every attribute counts as
+  /// covered.
   kFull,
 };
 

@@ -161,8 +161,7 @@ Result<VflModelN> TrainVerticalLogisticRegressionN(
     model.encoders.push_back(std::move(encoder));
   }
 
-  // Weights drawn slice-by-slice in party order from one stream: for two
-  // slices this is the exact draw sequence of the two-party trainer.
+  // Weights drawn slice-by-slice in party order from one stream.
   Rng rng(options.seed);
   model.weights.resize(parties);
   for (size_t s = 0; s < parties; ++s) {
@@ -186,9 +185,8 @@ Result<VflModelN> TrainVerticalLogisticRegressionN(
     double loss = 0.0;
     double bias_grad = 0.0;
     for (size_t r = 0; r < n; ++r) {
-      // Summed in ascending party order, bias last: the two-slice case
-      // evaluates ((score_a + score_b) + bias), bit-identical to the
-      // original two-party loop.
+      // Summed in ascending party order, bias last; the Figure-1 golden
+      // snapshot in tests/topology_test.cc pins this order.
       double z = scores[0][r];
       for (size_t s = 1; s < parties; ++s) z += scores[s][r];
       z += model.bias;
@@ -249,64 +247,6 @@ Result<double> AccuracyN(const VflModelN& model,
                          const std::vector<int>& labels) {
   METALEAK_ASSIGN_OR_RETURN(std::vector<double> probs,
                             PredictProbabilitiesN(model, slices));
-  if (probs.size() != labels.size()) {
-    return Status::Invalid("labels not aligned with features");
-  }
-  if (labels.empty()) return 0.0;
-  size_t correct = 0;
-  for (size_t r = 0; r < labels.size(); ++r) {
-    int pred = probs[r] >= 0.5 ? 1 : 0;
-    if (pred == labels[r]) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(labels.size());
-}
-
-Result<VflModel> TrainVerticalLogisticRegression(
-    const Relation& features_a, const Relation& features_b,
-    const std::vector<int>& labels, const VflTrainOptions& options) {
-  if (features_a.num_rows() != features_b.num_rows()) {
-    return Status::Invalid("feature slices and labels must be row-aligned");
-  }
-  METALEAK_ASSIGN_OR_RETURN(
-      VflModelN n, TrainVerticalLogisticRegressionN(
-                       {&features_a, &features_b}, labels, options));
-  VflModel model;
-  model.encoder_a = std::move(n.encoders[0]);
-  model.encoder_b = std::move(n.encoders[1]);
-  model.weights_a = std::move(n.weights[0]);
-  model.weights_b = std::move(n.weights[1]);
-  model.bias = n.bias;
-  model.loss_history = std::move(n.loss_history);
-  return model;
-}
-
-Result<std::vector<double>> PredictProbabilities(
-    const VflModel& model, const Relation& features_a,
-    const Relation& features_b) {
-  if (features_a.num_rows() != features_b.num_rows()) {
-    return Status::Invalid("feature slices must be row-aligned");
-  }
-  METALEAK_ASSIGN_OR_RETURN(FeatureMatrix xa,
-                            model.encoder_a.Transform(features_a));
-  METALEAK_ASSIGN_OR_RETURN(FeatureMatrix xb,
-                            model.encoder_b.Transform(features_b));
-  std::vector<double> score_a;
-  std::vector<double> score_b;
-  PartialScores(xa, model.weights_a, &score_a);
-  PartialScores(xb, model.weights_b, &score_b);
-  std::vector<double> out(xa.num_rows);
-  for (size_t r = 0; r < xa.num_rows; ++r) {
-    out[r] = Sigmoid(score_a[r] + score_b[r] + model.bias);
-  }
-  return out;
-}
-
-Result<double> Accuracy(const VflModel& model, const Relation& features_a,
-                        const Relation& features_b,
-                        const std::vector<int>& labels) {
-  METALEAK_ASSIGN_OR_RETURN(
-      std::vector<double> probs,
-      PredictProbabilities(model, features_a, features_b));
   if (probs.size() != labels.size()) {
     return Status::Invalid("labels not aligned with features");
   }

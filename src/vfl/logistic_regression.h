@@ -1,4 +1,4 @@
-// Vertical logistic regression over two aligned feature slices.
+// Vertical logistic regression over N aligned feature slices.
 //
 // The utility side of the paper's trade-off: metadata exchange exists to
 // make this model trainable across silos. The trainer mirrors the VFL
@@ -63,16 +63,6 @@ struct VflTrainOptions {
   uint64_t seed = 11;
 };
 
-struct VflModel {
-  FeatureEncoder encoder_a;
-  FeatureEncoder encoder_b;
-  std::vector<double> weights_a;
-  std::vector<double> weights_b;
-  double bias = 0.0;
-  /// Training log-loss per epoch (for convergence tests).
-  std::vector<double> loss_history;
-};
-
 /// N-party model: one encoder + weight vector per vertical slice, in the
 /// federation's party order.
 struct VflModelN {
@@ -82,12 +72,11 @@ struct VflModelN {
   std::vector<double> loss_history;
 };
 
-/// Trains vertical logistic regression over N aligned slices. Same
-/// dataflow as the two-party trainer — each party computes partial scores
-/// locally, the label holder combines them and broadcasts residuals —
-/// with weights initialized and updated slice-by-slice in party order, so
-/// for two slices the arithmetic (and hence the model) is bit-identical
-/// to TrainVerticalLogisticRegression.
+/// Trains vertical logistic regression over N aligned slices with
+/// full-batch gradient descent. `labels` (0/1) are index-aligned with the
+/// rows of every slice. Each party computes partial scores locally, the
+/// label holder combines them and broadcasts residuals; weights are
+/// initialized and updated slice-by-slice in party order.
 Result<VflModelN> TrainVerticalLogisticRegressionN(
     const std::vector<const Relation*>& slices,
     const std::vector<int>& labels, const VflTrainOptions& options = {});
@@ -100,24 +89,6 @@ Result<std::vector<double>> PredictProbabilitiesN(
 Result<double> AccuracyN(const VflModelN& model,
                          const std::vector<const Relation*>& slices,
                          const std::vector<int>& labels);
-
-/// Trains vertical logistic regression with full-batch gradient descent.
-/// `labels` (0/1) are index-aligned with the rows of both feature
-/// relations; party A is the label holder. Thin wrapper over the N-party
-/// trainer with slices {A, B}.
-Result<VflModel> TrainVerticalLogisticRegression(
-    const Relation& features_a, const Relation& features_b,
-    const std::vector<int>& labels, const VflTrainOptions& options = {});
-
-/// Per-row P(y=1) under the trained model.
-Result<std::vector<double>> PredictProbabilities(const VflModel& model,
-                                                 const Relation& features_a,
-                                                 const Relation& features_b);
-
-/// Classification accuracy at threshold 0.5.
-Result<double> Accuracy(const VflModel& model, const Relation& features_a,
-                        const Relation& features_b,
-                        const std::vector<int>& labels);
 
 }  // namespace metaleak
 

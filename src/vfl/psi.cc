@@ -77,21 +77,4 @@ Result<MultiPsiResult> IntersectAllTokens(
   return out;
 }
 
-Result<PsiResult> IntersectTokens(const std::vector<PsiToken>& tokens_a,
-                                  const std::vector<PsiToken>& tokens_b) {
-  METALEAK_ASSIGN_OR_RETURN(MultiPsiResult multi,
-                            IntersectAllTokens({tokens_a, tokens_b}));
-  PsiResult out;
-  out.rows_a = std::move(multi.rows[0]);
-  out.rows_b = std::move(multi.rows[1]);
-  return out;
-}
-
-Result<PsiResult> ComputePsi(const std::vector<Value>& ids_a,
-                             const std::vector<Value>& ids_b,
-                             uint64_t session_salt) {
-  return IntersectTokens(DerivePsiTokens(ids_a, session_salt),
-                         DerivePsiTokens(ids_b, session_salt));
-}
-
 }  // namespace metaleak

@@ -28,19 +28,9 @@ using PsiToken = uint64_t;
 std::vector<PsiToken> DerivePsiTokens(const std::vector<Value>& ids,
                                       uint64_t session_salt);
 
-struct PsiResult {
-  /// Row indices into party A's / party B's relation; rows_a[i] and
-  /// rows_b[i] refer to the same entity. Ordered by token value, which is
-  /// a canonical order both parties can compute independently.
-  std::vector<size_t> rows_a;
-  std::vector<size_t> rows_b;
-
-  size_t size() const { return rows_a.size(); }
-};
-
 /// N-party alignment: rows[p][i] is the row of party p matching entity i.
 /// Entities are the tokens present in every party's stream, in ascending
-/// token order (the same canonical order as PsiResult).
+/// token order — a canonical order every party can compute independently.
 struct MultiPsiResult {
   std::vector<std::vector<size_t>> rows;
 
@@ -49,20 +39,9 @@ struct MultiPsiResult {
 };
 
 /// Intersects N token streams. Duplicate identifiers within one party
-/// keep their first occurrence (standard PSI post-processing); for two
-/// streams this reduces exactly to IntersectTokens.
+/// keep their first occurrence (standard PSI post-processing).
 Result<MultiPsiResult> IntersectAllTokens(
     const std::vector<std::vector<PsiToken>>& streams);
-
-/// Intersects two token streams. Duplicate identifiers within one party
-/// keep their first occurrence (standard PSI post-processing).
-Result<PsiResult> IntersectTokens(const std::vector<PsiToken>& tokens_a,
-                                  const std::vector<PsiToken>& tokens_b);
-
-/// Convenience: tokenizes both key columns and intersects.
-Result<PsiResult> ComputePsi(const std::vector<Value>& ids_a,
-                             const std::vector<Value>& ids_b,
-                             uint64_t session_salt);
 
 }  // namespace metaleak
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "vfl/attack.h"
-
 namespace metaleak {
 
 namespace {
@@ -41,6 +39,57 @@ std::optional<double> ReportMeanMse(const LeakageReport& report) {
   }
   if (count == 0) return std::nullopt;
   return sum / static_cast<double>(count);
+}
+
+// Folds a full-package Monte-Carlo run into the coalition summary.
+CoalitionLeakageSummary SummarizeCoalitionRounds(MethodResult result) {
+  CoalitionLeakageSummary summary;
+  summary.rounds = result.round_seeds.size();
+  double cat_matches = 0.0, cat_rows = 0.0;
+  double cont_matches = 0.0, cont_rows = 0.0;
+  double mse_sum = 0.0;
+  size_t mse_count = 0;
+  for (const MethodAttributeResult& a : result.attributes) {
+    const double rows = static_cast<double>(a.rows_compared);
+    if (a.semantic == SemanticType::kCategorical) {
+      cat_matches += a.mean_matches;
+      cat_rows += rows;
+    } else {
+      cont_matches += a.mean_matches;
+      cont_rows += rows;
+      if (a.mean_mse.has_value()) {
+        mse_sum += *a.mean_mse;
+        ++mse_count;
+      }
+    }
+  }
+  summary.categorical_match_rate =
+      cat_rows > 0.0 ? cat_matches / cat_rows : 0.0;
+  summary.continuous_match_rate =
+      cont_rows > 0.0 ? cont_matches / cont_rows : 0.0;
+  const double all_rows = cat_rows + cont_rows;
+  summary.overall_match_rate =
+      all_rows > 0.0 ? (cat_matches + cont_matches) / all_rows : 0.0;
+  if (mse_count > 0) {
+    summary.mean_mse = mse_sum / static_cast<double>(mse_count);
+  }
+  Result<RiskMeasureStats> mi = result.ForMeasure(
+      InfoTheoreticEstimator::Instance().name(), "mi_bits");
+  if (mi.ok()) {
+    double mi_sum = 0.0;
+    size_t mi_count = 0;
+    for (size_t c = 0; c < mi->mean.size(); ++c) {
+      if (mi->rounds[c] > 0) {
+        mi_sum += mi->mean[c];
+        ++mi_count;
+      }
+    }
+    if (mi_count > 0) {
+      summary.mean_mi_bits = mi_sum / static_cast<double>(mi_count);
+    }
+  }
+  summary.result = std::move(result);
+  return summary;
 }
 
 }  // namespace
@@ -175,25 +224,6 @@ Result<UtilityOutcome> FederationTopology::EvaluateUtilityImpl(
   METALEAK_ASSIGN_OR_RETURN(out.joint_accuracy,
                             AccuracyN(joint, slices, alignment.labels));
 
-  // The "no federation" baseline trains the label party alone. The
-  // trainer wants row-aligned slices, so the counterpart is a single
-  // constant column that encodes to nothing informative.
-  Schema const_schema(
-      {{"__const", DataType::kInt64, SemanticType::kCategorical}});
-  std::vector<std::vector<Value>> const_col(1);
-  const_col[0].assign(alignment.label_features.num_rows(), Value::Int(0));
-  METALEAK_ASSIGN_OR_RETURN(
-      Relation const_b, Relation::Make(const_schema, std::move(const_col)));
-  std::vector<const Relation*> solo_slices = {&alignment.label_features,
-                                              &const_b};
-  METALEAK_ASSIGN_OR_RETURN(
-      VflModelN solo,
-      TrainVerticalLogisticRegressionN(solo_slices, alignment.labels,
-                                       options.train));
-  METALEAK_ASSIGN_OR_RETURN(
-      out.label_party_only_accuracy,
-      AccuracyN(solo, solo_slices, alignment.labels));
-
   out.participants = std::move(participants);
   return out;
 }
@@ -210,6 +240,26 @@ Result<UtilityOutcome> FederationTopology::EvaluateUtility(
     const MetadataPolicy& override_policy) const {
   return EvaluateUtilityImpl(alignment, options, override_parties,
                              &override_policy);
+}
+
+Result<double> FederationTopology::LabelPartyOnlyAccuracy(
+    const TopologyAlignment& alignment,
+    const TopologyOptions& options) const {
+  // The trainer wants row-aligned slices, so the counterpart is a single
+  // constant column that encodes to nothing informative.
+  Schema const_schema(
+      {{"__const", DataType::kInt64, SemanticType::kCategorical}});
+  std::vector<std::vector<Value>> const_col(1);
+  const_col[0].assign(alignment.label_features.num_rows(), Value::Int(0));
+  METALEAK_ASSIGN_OR_RETURN(
+      Relation const_b, Relation::Make(const_schema, std::move(const_col)));
+  std::vector<const Relation*> solo_slices = {&alignment.label_features,
+                                              &const_b};
+  METALEAK_ASSIGN_OR_RETURN(
+      VflModelN solo,
+      TrainVerticalLogisticRegressionN(solo_slices, alignment.labels,
+                                       options.train));
+  return AccuracyN(solo, solo_slices, alignment.labels);
 }
 
 Result<CoalitionOutcome> FederationTopology::EvaluateCoalition(
@@ -289,7 +339,7 @@ Result<CoalitionOutcome> FederationTopology::EvaluateCoalition(
 
   if (victims.size() == 1) {
     // The single-victim case keeps the package and the slice exactly as
-    // received — this is the path the two-party parity test pins down.
+    // received — this is the path the Figure-1 golden test pins down.
     outcome.joint = std::move(victim_packages[0]);
     outcome.victim_union = alignment.aligned[victims[0]];
   } else {
@@ -344,23 +394,28 @@ Result<CoalitionOutcome> FederationTopology::EvaluateCoalition(
     outcome.reconstructed = false;
     return outcome;
   }
+  // One encoding of the victim union and one engine serve the single shot
+  // and the Monte-Carlo rounds alike.
+  ExperimentEngine engine(outcome.victim_union, outcome.joint);
+  ExperimentConfig config;
+  config.rounds = options.attack_rounds;
+  config.seed = options.experiment_seed;
+  config.leakage = options.leakage;
+  config.threads = options.threads;
   METALEAK_ASSIGN_OR_RETURN(
       outcome.leakage,
-      SimulateReconstruction(outcome.joint, outcome.victim_union,
-                             options.attack_seed));
+      engine.ReplayRound(GenerationMethod::kFull, options.attack_seed,
+                         config));
   outcome.reconstructed = true;
 
   if (options.attack_rounds > 1) {
-    ExperimentConfig config;
-    config.rounds = options.attack_rounds;
-    config.seed = options.experiment_seed;
-    config.leakage = options.leakage;
-    config.threads = options.threads;
-    METALEAK_ASSIGN_OR_RETURN(
-        CoalitionLeakageSummary summary,
-        EvaluateCoalitionLeakage(outcome.joint, outcome.victim_union,
-                                 config));
-    outcome.monte_carlo = std::move(summary);
+    // The rounds score every shipped estimator. Estimators draw no
+    // randomness, so the wider registry leaves the match/MSE statistics
+    // as the default registry would give them.
+    config.estimators = &RiskEstimatorRegistry::All();
+    METALEAK_ASSIGN_OR_RETURN(MethodResult result,
+                              engine.Run(GenerationMethod::kFull, config));
+    outcome.monte_carlo = SummarizeCoalitionRounds(std::move(result));
   }
   return outcome;
 }

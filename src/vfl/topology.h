@@ -12,28 +12,30 @@
 //                            that one profile, so a party is profiled
 //                            once no matter how many edges it has).
 //   * EvaluateUtility()    — N-party vertical LR accuracy of the
-//                            federation vs the label holder alone. A
-//                            party participates when its edge to the
-//                            label holder discloses at least
+//                            federation. A party participates when its
+//                            edge to the label holder discloses at least
 //                            names+domains; its slice enters training
 //                            through the edge policy's data-side
 //                            transforms (the utility cost of a defense).
+//   * LabelPartyOnlyAccuracy() — the no-federation baseline: the label
+//                            holder's features alone.
 //   * EvaluateCoalition()  — a set of curious parties pools every
 //                            package it received about the victims into
 //                            one joint MetadataPackage (union per victim
 //                            across edges, disjoint concat across
 //                            victims) and reconstructs the union of the
 //                            victim slices: single-shot leakage plus an
-//                            optional streamed Monte-Carlo summary.
+//                            optional streamed Monte-Carlo summary, both
+//                            from one ExperimentEngine.
 //   * SweepPolicyPareto()  — re-runs utility + coalition leakage under a
 //                            list of candidate policies and marks the
 //                            non-dominated (accuracy up, leakage down)
 //                            frontier.
 //
-// A 2-node topology with a full-disclosure edge reproduces the original
-// RunScenario pipeline bit-identically (scenario.cc now delegates here;
-// the golden parity test in tests/topology_test.cc holds both paths to
-// byte equality).
+// The paper's Figure-1 exchange is the 2-node case: one edge from the
+// discloser to the label holder, swept over disclosure levels with
+// CoalitionSpec::policy_override. A golden snapshot in
+// tests/topology_test.cc pins that case bit for bit.
 #ifndef METALEAK_VFL_TOPOLOGY_H_
 #define METALEAK_VFL_TOPOLOGY_H_
 
@@ -46,7 +48,7 @@
 #include "discovery/discovery_engine.h"
 #include "metadata/metadata_package.h"
 #include "metadata/metadata_policy.h"
-#include "privacy/coalition.h"
+#include "privacy/experiment.h"
 #include "privacy/leakage.h"
 #include "vfl/logistic_regression.h"
 #include "vfl/party.h"
@@ -75,6 +77,7 @@ struct TopologyOptions {
   /// Threads + seed for the Monte-Carlo rounds (ExperimentEngine).
   size_t threads = 1;
   uint64_t experiment_seed = 20240001;
+  /// Def 2.2/2.3 scoring for the single shot and the Monte-Carlo rounds.
   LeakageOptions leakage;
 };
 
@@ -106,9 +109,32 @@ struct TopologyAlignment {
 
 struct UtilityOutcome {
   double joint_accuracy = 0.0;
-  double label_party_only_accuracy = 0.0;
   /// Parties whose slices entered joint training (includes label party).
   std::vector<size_t> participants;
+};
+
+/// Monte-Carlo Def 2.2/2.3 evaluation of a coalition's joint view
+/// against the union of victim slices. The rounds stream through
+/// ExperimentEngine's encoded path with per-round seeds, so the summary is
+/// identical for any thread count and any recorded round replays in
+/// isolation (ExperimentEngine::ReplayRound on kFull).
+struct CoalitionLeakageSummary {
+  size_t rounds = 0;
+  /// Per-attribute streamed means under the full-package method,
+  /// including the recorded per-round seeds for replay.
+  MethodResult result;
+  /// Aggregate Def 2.2/2.3 rates: mean matches summed over the attribute
+  /// group divided by the group's compared-row total (0 when the group is
+  /// empty).
+  double overall_match_rate = 0.0;
+  double categorical_match_rate = 0.0;
+  double continuous_match_rate = 0.0;
+  /// Mean of the per-attribute mean MSEs (continuous attributes only).
+  std::optional<double> mean_mse;
+  /// Mean over attributes of the info-theoretic estimator's mean
+  /// real-vs-generated mutual information (bits). Unset when the
+  /// registry omitted the estimator.
+  std::optional<double> mean_mi_bits;
 };
 
 struct CoalitionOutcome {
@@ -120,9 +146,11 @@ struct CoalitionOutcome {
   /// a "party." prefix only when they collide across victims).
   Relation victim_union;
   bool reconstructed = false;
-  /// Single-shot reconstruction at TopologyOptions::attack_seed.
+  /// Single-shot reconstruction at TopologyOptions::attack_seed, scored
+  /// under TopologyOptions::leakage with the default estimator registry.
   LeakageReport leakage;
-  /// Streamed Monte-Carlo summary; present when attack_rounds > 1.
+  /// Streamed Monte-Carlo summary over every shipped estimator; present
+  /// when attack_rounds > 1.
   std::optional<CoalitionLeakageSummary> monte_carlo;
 };
 
@@ -141,7 +169,7 @@ class FederationTopology {
   /// empty or the label attribute is missing.
   Result<TopologyAlignment> Align(const TopologyOptions& options) const;
 
-  /// Joint N-party accuracy vs the label party alone.
+  /// Joint N-party accuracy.
   Result<UtilityOutcome> EvaluateUtility(const TopologyAlignment& alignment,
                                          const TopologyOptions& options) const;
 
@@ -153,6 +181,11 @@ class FederationTopology {
       const TopologyAlignment& alignment, const TopologyOptions& options,
       const std::vector<size_t>& override_parties,
       const MetadataPolicy& override_policy) const;
+
+  /// Accuracy of the label party trained on its own features alone — the
+  /// "no federation" baseline the joint accuracy is compared against.
+  Result<double> LabelPartyOnlyAccuracy(const TopologyAlignment& alignment,
+                                        const TopologyOptions& options) const;
 
   /// Coalition reconstruction of the victims' slices from the pooled
   /// received metadata.

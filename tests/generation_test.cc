@@ -21,7 +21,6 @@
 #include "metadata/metadata_package.h"
 #include "privacy/experiment.h"
 #include "privacy/tuple_risk.h"
-#include "vfl/attack.h"
 
 namespace metaleak {
 namespace {
@@ -435,7 +434,9 @@ void ExpectRejectedEverywhere(const MetadataPackage& pkg,
                    .Run(GenerationMethod::kRandom, config)
                    .status();
   EXPECT_TRUE(names_reason(run)) << run.ToString();
-  Status attack = SimulateReconstruction(pkg, real, 1).status();
+  Status attack = ExperimentEngine(real, pkg)
+                      .ReplayRound(GenerationMethod::kFull, 1)
+                      .status();
   EXPECT_TRUE(names_reason(attack)) << attack.ToString();
   TupleRiskOptions risk;
   risk.rounds = 2;

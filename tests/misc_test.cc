@@ -25,13 +25,24 @@ TEST(LoggingTest, LevelGate) {
 
 // --- Scenario failure modes ---------------------------------------------------
 
+// Aligns the paper's two-party exchange: `b` discloses to `a`, the label
+// holder.
+Result<TopologyAlignment> AlignTwoParty(const Party& a, const Party& b,
+                                        const TopologyOptions& options) {
+  FederationTopology topo;
+  topo.AddParty(a);
+  topo.AddParty(b);
+  METALEAK_RETURN_NOT_OK(topo.AddEdge(1, 0, MetadataPolicy::FullDisclosure()));
+  return topo.Align(options);
+}
+
 TEST(ScenarioFailureTest, MissingLabelAttribute) {
   datasets::FintechScenario s = datasets::Fintech();
   Party bank("bank", s.bank, "customer_id");
   Party ecom("ecom", s.ecommerce, "customer_id");
-  ScenarioOptions options;
+  TopologyOptions options;
   options.label_attribute = "no_such_label";
-  auto outcome = RunScenario(bank, ecom, options);
+  auto outcome = AlignTwoParty(bank, ecom, options);
   EXPECT_FALSE(outcome.ok());
   EXPECT_TRUE(outcome.status().IsKeyError());
 }
@@ -52,7 +63,7 @@ TEST(ScenarioFailureTest, EmptyIntersection) {
   }
   Party a("a", std::move(a_builder.Finish()).ValueOrDie(), "customer_id");
   Party b("b", std::move(b_builder.Finish()).ValueOrDie(), "customer_id");
-  auto outcome = RunScenario(a, b);
+  auto outcome = AlignTwoParty(a, b, TopologyOptions());
   EXPECT_FALSE(outcome.ok());
 }
 

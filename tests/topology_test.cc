@@ -1,20 +1,21 @@
 // Tests for src/vfl/topology.h: multi-party PSI, the N-party trainer, the
 // federation topology, coalition adversaries and the policy Pareto sweep.
 //
-// The parity tests here are the contract that lets scenario.cc delegate
-// to the topology: a 2-node full-disclosure topology must reproduce the
-// pre-refactor two-party pipeline bit-identically.
+// The golden snapshot here pins the paper's Figure-1 exchange, run as a
+// 2-node topology, bit for bit at 1 and 8 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
+#include "common/parallel.h"
+#include "common/string_util.h"
 #include "data/datasets/fintech.h"
-#include "privacy/coalition.h"
-#include "vfl/attack.h"
+#include "privacy/experiment.h"
 #include "vfl/logistic_regression.h"
 #include "vfl/party.h"
 #include "vfl/psi.h"
-#include "vfl/scenario.h"
 #include "vfl/topology.h"
 
 namespace metaleak {
@@ -24,69 +25,6 @@ std::vector<Value> Ids(std::initializer_list<int64_t> xs) {
   std::vector<Value> out;
   for (int64_t x : xs) out.push_back(Value::Int(x));
   return out;
-}
-
-// Verbatim re-implementation of the pre-refactor RunScenario pipeline on
-// the still-public two-party primitives. The golden parity test holds the
-// topology-backed RunScenario to byte equality with this.
-Result<ScenarioOutcome> ReferenceRunScenario(const Party& party_a,
-                                             const Party& party_b,
-                                             const ScenarioOptions& options) {
-  ScenarioOutcome outcome;
-  METALEAK_ASSIGN_OR_RETURN(std::vector<PsiToken> tokens_a,
-                            party_a.PsiTokens(options.psi_salt));
-  METALEAK_ASSIGN_OR_RETURN(std::vector<PsiToken> tokens_b,
-                            party_b.PsiTokens(options.psi_salt));
-  METALEAK_ASSIGN_OR_RETURN(PsiResult psi,
-                            IntersectTokens(tokens_a, tokens_b));
-  outcome.intersection_size = psi.size();
-  if (psi.size() == 0) return Status::Invalid("PSI intersection is empty");
-
-  METALEAK_ASSIGN_OR_RETURN(Relation slice_a,
-                            party_a.AlignedFeatures(psi.rows_a));
-  METALEAK_ASSIGN_OR_RETURN(Relation slice_b,
-                            party_b.AlignedFeatures(psi.rows_b));
-
-  METALEAK_ASSIGN_OR_RETURN(
-      size_t label_col,
-      slice_a.schema().RequireIndex(options.label_attribute));
-  std::vector<int> labels;
-  for (size_t r = 0; r < slice_a.num_rows(); ++r) {
-    const Value& v = slice_a.at(r, label_col);
-    labels.push_back(
-        !v.is_null() && v.is_numeric() && v.AsNumeric() >= 0.5 ? 1 : 0);
-  }
-  std::vector<size_t> a_feature_cols;
-  for (size_t c = 0; c < slice_a.num_columns(); ++c) {
-    if (c != label_col) a_feature_cols.push_back(c);
-  }
-  Relation features_a = slice_a.Project(a_feature_cols);
-
-  METALEAK_ASSIGN_OR_RETURN(
-      VflModel joint, TrainVerticalLogisticRegression(features_a, slice_b,
-                                                      labels, options.train));
-  METALEAK_ASSIGN_OR_RETURN(outcome.joint_accuracy,
-                            Accuracy(joint, features_a, slice_b, labels));
-
-  Schema const_schema(
-      {{"__const", DataType::kInt64, SemanticType::kCategorical}});
-  std::vector<std::vector<Value>> const_col(1);
-  const_col[0].assign(features_a.num_rows(), Value::Int(0));
-  METALEAK_ASSIGN_OR_RETURN(
-      Relation const_b, Relation::Make(const_schema, std::move(const_col)));
-  METALEAK_ASSIGN_OR_RETURN(
-      VflModel solo, TrainVerticalLogisticRegression(features_a, const_b,
-                                                     labels, options.train));
-  METALEAK_ASSIGN_OR_RETURN(outcome.party_a_only_accuracy,
-                            Accuracy(solo, features_a, const_b, labels));
-
-  METALEAK_ASSIGN_OR_RETURN(
-      MetadataPackage shared_b,
-      party_b.ShareMetadata(DisclosureLevel::kWithRfds));
-  METALEAK_ASSIGN_OR_RETURN(
-      outcome.leakage_by_level,
-      SweepDisclosureLevels(shared_b, slice_b, options.attack_seed));
-  return outcome;
 }
 
 void ExpectReportsBitIdentical(const LeakageReport& a,
@@ -125,17 +63,6 @@ TEST(MultiPsiTest, ThreePartyIntersection) {
   }
 }
 
-TEST(MultiPsiTest, TwoPartyMatchesPairwisePsi) {
-  auto a = DerivePsiTokens(Ids({4, 8, 15, 16, 23, 42}), 7);
-  auto b = DerivePsiTokens(Ids({42, 15, 99, 4}), 7);
-  auto multi = IntersectAllTokens({a, b});
-  auto pair = IntersectTokens(a, b);
-  ASSERT_TRUE(multi.ok() && pair.ok());
-  ASSERT_EQ(multi->size(), pair->size());
-  EXPECT_EQ(multi->rows[0], pair->rows_a);
-  EXPECT_EQ(multi->rows[1], pair->rows_b);
-}
-
 TEST(MultiPsiTest, CanonicalOrderAcrossPartyPermutation) {
   auto a = DerivePsiTokens(Ids({3, 1, 2}), 5);
   auto b = DerivePsiTokens(Ids({2, 3, 1}), 5);
@@ -162,69 +89,199 @@ TEST(MultiPsiTest, DuplicatesKeepFirstOccurrence) {
   EXPECT_EQ(psi->rows[2][0], 1u);
 }
 
-// --- N-party trainer ----------------------------------------------------------
+// --- Figure-1 golden snapshot ----------------------------------------------
+//
+// The paper's Figure-1 exchange as a 2-node federation: datasets::Fintech()
+// with the e-commerce company disclosing to the bank (the label holder),
+// 60 training epochs, one single-shot attack per disclosure level, and the
+// full level's Monte-Carlo summary at 6 rounds. The PSI, accuracy and
+// per-level lines were captured from the two-party pipeline this topology
+// replaced (itself held bitwise to the original orchestration), the "mc"
+// lines from the topology of the same commit. Doubles print as %a, so
+// equal lines mean equal bits. One line per value: `kind|key|fields`.
+constexpr const char* kGoldenFigureOne = R"GOLDEN(
+psi|397
+accuracy|joint|0x1.79dfc21880f7ap-1
+accuracy|bank_only|0x1.70d8aa3c9d571p-1
+level|names|not_reconstructed
+level|names+domains|reconstructed
+leak|names+domains|orders_per_year|8|397|0x1.4a27fad76014ap-6|0x1.27ffd82b7d07p+10
+leak|names+domains|total_spend|6|397|0x1.ef3bf843101efp-7|0x1.358f131330677p+20
+leak|names+domains|favorite_category|79|397|0x1.978959a1da998p-3|-
+leak|names+domains|returns_rate|12|397|0x1.ef3bf843101efp-6|0x1.8b2e3b4483185p-6
+level|names+domains+FDs|reconstructed
+leak|names+domains+FDs|orders_per_year|6|397|0x1.ef3bf843101efp-7|0x1.20243a0c5b9ecp+10
+leak|names+domains+FDs|total_spend|7|397|0x1.20e2fb7c74121p-6|0x1.1984fa06200ddp+20
+leak|names+domains+FDs|favorite_category|92|397|0x1.da9978959a1dbp-3|-
+leak|names+domains+FDs|returns_rate|6|397|0x1.ef3bf843101efp-7|0x1.9c32bde261c66p-6
+level|names+domains+FDs+RFDs|reconstructed
+leak|names+domains+FDs+RFDs|orders_per_year|6|397|0x1.ef3bf843101efp-7|0x1.02c415cbe9c48p+10
+leak|names+domains+FDs+RFDs|total_spend|6|397|0x1.ef3bf843101efp-7|0x1.58b35671489abp+20
+leak|names+domains+FDs+RFDs|favorite_category|92|397|0x1.da9978959a1dbp-3|-
+leak|names+domains+FDs+RFDs|returns_rate|11|397|0x1.c5f6f8e8241c6p-6|0x1.89b1284d0da6fp-6
+mc|rounds|6
+mc|overall_match_rate|0x1.f61ccd7ce21f7p-5
+mc|categorical_match_rate|0x1.83c2f49b9ed84p-3
+mc|continuous_match_rate|0x1.30ef97ae08bdbp-6
+mc|mean_mse|0x1.9a82073c968b4p+18
+mc|mean_mi_bits|0x1.2246b613f526p+1
+mc|round_seed|15581465423344241132
+mc|round_seed|372893738985696990
+mc|round_seed|9985461264460350967
+mc|round_seed|9966128675219320386
+mc|round_seed|15716695499719318954
+mc|round_seed|17139344667987386263
+mc_attr|orders_per_year|397|0x1.ep+2|0x1.5e8add236a58fp+1|0x1.038a8dde66f9dp+10
+mc_attr|total_spend|397|0x1.7555555555555p+2|0x1.b8ef4cbc3f1eap+0|0x1.33a0a25ebeb16p+20
+mc_attr|favorite_category|397|0x1.2caaaaaaaaaabp+6|0x1.e81bf99a3f26dp+2|-
+mc_attr|returns_rate|397|0x1.1aaaaaaaaaaaap+3|0x1.3801c01abff5ap+2|0x1.acea7536706edp-6
+mc_measure|match_rate.matches|0|6|0x1.ep+2|0x1.5e8add236a58fp+1
+mc_measure|match_rate.matches|1|6|0x1.7555555555555p+2|0x1.b8ef4cbc3f1eap+0
+mc_measure|match_rate.matches|2|6|0x1.2caaaaaaaaaabp+6|0x1.e81bf99a3f26dp+2
+mc_measure|match_rate.matches|3|6|0x1.1aaaaaaaaaaaap+3|0x1.3801c01abff5ap+2
+mc_measure|match_rate.mse|0|6|0x1.038a8dde66f9dp+10|0x1.2f693d43247c6p+6
+mc_measure|match_rate.mse|1|6|0x1.33a0a25ebeb16p+20|0x1.c8403ab9aba69p+16
+mc_measure|match_rate.mse|2|0|0x0p+0|0x0p+0
+mc_measure|match_rate.mse|3|6|0x1.acea7536706edp-6|0x1.fe71b7e968a3dp-10
+mc_measure|info_theoretic.entropy_bits|0|6|0x1.8ce5353fc9d3dp+2|0x0p+0
+mc_measure|info_theoretic.entropy_bits|1|6|0x1.8ce5353fc9d3dp+2|0x0p+0
+mc_measure|info_theoretic.entropy_bits|2|6|0x1.28fe9a55dfa86p+1|0x0p+0
+mc_measure|info_theoretic.entropy_bits|3|6|0x1.51fc7cc5c33b2p+2|0x0p+0
+mc_measure|info_theoretic.cond_entropy_bits|0|6|0x0p+0|0x0p+0
+mc_measure|info_theoretic.cond_entropy_bits|1|6|0x0p+0|0x0p+0
+mc_measure|info_theoretic.cond_entropy_bits|2|0|0x0p+0|0x0p+0
+mc_measure|info_theoretic.cond_entropy_bits|3|6|0x1.24b0c4d1fbd16p+1|0x0p+0
+mc_measure|info_theoretic.mi_bits|0|6|0x1.973c30b4277cep+1|0x1.60452733dce3fp-6
+mc_measure|info_theoretic.mi_bits|1|6|0x1.94f7c3098a55fp+1|0x1.435a902fe8befp-6
+mc_measure|info_theoretic.mi_bits|2|6|0x1.e541dd9b1a85ap-6|0x1.c0c65b6c586ecp-7
+mc_measure|info_theoretic.mi_bits|3|6|0x1.591c60d6ec902p+1|0x1.889d5a0309b1dp-6
+mc_measure|nn_linkage.nn_eps_matches|0|6|0x1.8c8p+8|0x1.3988e14092139p+0
+mc_measure|nn_linkage.nn_eps_matches|1|6|0x1.8dp+8|0x0p+0
+mc_measure|nn_linkage.nn_eps_matches|2|0|0x0p+0|0x0p+0
+mc_measure|nn_linkage.nn_eps_matches|3|6|0x1.8dp+8|0x0p+0
+mc_measure|nn_linkage.nn_top1_hits|0|6|0x1p+0|0x1.43d136248490fp+0
+mc_measure|nn_linkage.nn_top1_hits|1|6|0x1p-1|0x1.186f174f88472p-1
+mc_measure|nn_linkage.nn_top1_hits|2|0|0x0p+0|0x0p+0
+mc_measure|nn_linkage.nn_top1_hits|3|6|0x1.2aaaaaaaaaaaap+0|0x1.a20bd700c2c3ep-2
+)GOLDEN";
 
-TEST(TopologyTrainerTest, TwoSliceTrainingMatchesTwoPartyTrainer) {
-  datasets::FintechScenario s = datasets::Fintech();
-  Party bank("bank", s.bank, "customer_id");
-  Party ecom("ecom", s.ecommerce, "customer_id");
-  auto ta = bank.PsiTokens(1);
-  auto tb = ecom.PsiTokens(1);
-  ASSERT_TRUE(ta.ok() && tb.ok());
-  auto psi = IntersectTokens(*ta, *tb);
-  ASSERT_TRUE(psi.ok());
-  auto slice_a = bank.AlignedFeatures(psi->rows_a);
-  auto slice_b = ecom.AlignedFeatures(psi->rows_b);
-  ASSERT_TRUE(slice_a.ok() && slice_b.ok());
-  std::vector<int> labels(slice_a->num_rows());
-  for (size_t r = 0; r < slice_a->num_rows(); ++r) {
-    labels[r] = r % 3 == 0 ? 1 : 0;
-  }
-  VflTrainOptions train;
-  train.epochs = 25;
-  auto pair_model =
-      TrainVerticalLogisticRegression(*slice_a, *slice_b, labels, train);
-  auto n_model = TrainVerticalLogisticRegressionN({&*slice_a, &*slice_b},
-                                                  labels, train);
-  ASSERT_TRUE(pair_model.ok() && n_model.ok());
-  // Bitwise identical weights, bias and loss trajectory.
-  EXPECT_EQ(pair_model->weights_a, n_model->weights[0]);
-  EXPECT_EQ(pair_model->weights_b, n_model->weights[1]);
-  EXPECT_EQ(pair_model->bias, n_model->bias);
-  EXPECT_EQ(pair_model->loss_history, n_model->loss_history);
-  auto pair_acc = Accuracy(*pair_model, *slice_a, *slice_b, labels);
-  auto n_acc = AccuracyN(*n_model, {&*slice_a, &*slice_b}, labels);
-  ASSERT_TRUE(pair_acc.ok() && n_acc.ok());
-  EXPECT_EQ(*pair_acc, *n_acc);
+std::string Hex(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", value);
+  return buf;
 }
 
-// --- Golden two-party parity --------------------------------------------------
+std::string Hex(const std::optional<double>& value) {
+  return value.has_value() ? Hex(*value) : "-";
+}
 
-TEST(TopologyParityTest, TwoNodeTopologyReproducesRunScenarioBitwise) {
+std::vector<std::string> RenderFigureOne(size_t threads) {
+  std::vector<std::string> lines;
   datasets::FintechScenario s = datasets::Fintech();
-  Party bank("bank", s.bank, "customer_id");
-  Party ecom("ecom", s.ecommerce, "customer_id");
-  ScenarioOptions options;
+  FederationTopology topo;
+  const size_t bank = topo.AddParty(Party("bank", s.bank, "customer_id"));
+  const size_t ecom =
+      topo.AddParty(Party("ecommerce", s.ecommerce, "customer_id"));
+  EXPECT_TRUE(topo.AddEdge(ecom, bank,
+                           MetadataPolicy::AtLevel(DisclosureLevel::kWithRfds))
+                  .ok());
+  TopologyOptions options;
+  options.label_party = bank;
   options.train.epochs = 60;
+  options.attack_rounds = 6;
+  options.threads = threads;
 
-  auto reference = ReferenceRunScenario(bank, ecom, options);
-  auto topology = RunScenario(bank, ecom, options);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  ASSERT_TRUE(topology.ok()) << topology.status().ToString();
-
-  EXPECT_EQ(reference->intersection_size, topology->intersection_size);
-  EXPECT_EQ(reference->joint_accuracy, topology->joint_accuracy);
-  EXPECT_EQ(reference->party_a_only_accuracy,
-            topology->party_a_only_accuracy);
-  ASSERT_EQ(reference->leakage_by_level.size(),
-            topology->leakage_by_level.size());
-  for (size_t i = 0; i < reference->leakage_by_level.size(); ++i) {
-    const AttackResult& r = reference->leakage_by_level[i];
-    const AttackResult& t = topology->leakage_by_level[i];
-    EXPECT_EQ(r.level, t.level);
-    EXPECT_EQ(r.reconstructed, t.reconstructed);
-    ExpectReportsBitIdentical(r.leakage, t.leakage);
+  auto alignment = topo.Align(options);
+  if (!alignment.ok()) {
+    ADD_FAILURE() << alignment.status().ToString();
+    return lines;
   }
+  auto utility = topo.EvaluateUtility(*alignment, options);
+  auto bank_only = topo.LabelPartyOnlyAccuracy(*alignment, options);
+  if (!utility.ok() || !bank_only.ok()) {
+    ADD_FAILURE() << utility.status().ToString() << " / "
+                  << bank_only.status().ToString();
+    return lines;
+  }
+  lines.push_back("psi|" + std::to_string(alignment->intersection_size()));
+  lines.push_back("accuracy|joint|" + Hex(utility->joint_accuracy));
+  lines.push_back("accuracy|bank_only|" + Hex(*bank_only));
+
+  for (DisclosureLevel level :
+       {DisclosureLevel::kNames, DisclosureLevel::kNamesAndDomains,
+        DisclosureLevel::kWithFds, DisclosureLevel::kWithRfds}) {
+    CoalitionSpec spec;
+    spec.attackers = {bank};
+    spec.policy_override = MetadataPolicy::AtLevel(level);
+    auto outcome = topo.EvaluateCoalition(*alignment, spec, options);
+    if (!outcome.ok()) {
+      ADD_FAILURE() << outcome.status().ToString();
+      return lines;
+    }
+    const std::string name = DisclosureLevelToString(level);
+    lines.push_back("level|" + name + "|" +
+                    (outcome->reconstructed ? "reconstructed"
+                                            : "not_reconstructed"));
+    EXPECT_EQ(outcome->monte_carlo.has_value(), outcome->reconstructed);
+    for (const AttributeLeakage& a : outcome->leakage.attributes) {
+      lines.push_back("leak|" + name + "|" + a.name + "|" +
+                      std::to_string(a.matches) + "|" +
+                      std::to_string(a.rows_compared) + "|" +
+                      Hex(a.match_rate) + "|" + Hex(a.mse));
+    }
+    if (level != DisclosureLevel::kWithRfds || !outcome->monte_carlo) {
+      continue;
+    }
+    const CoalitionLeakageSummary& mc = *outcome->monte_carlo;
+    lines.push_back("mc|rounds|" + std::to_string(mc.rounds));
+    lines.push_back("mc|overall_match_rate|" + Hex(mc.overall_match_rate));
+    lines.push_back("mc|categorical_match_rate|" +
+                    Hex(mc.categorical_match_rate));
+    lines.push_back("mc|continuous_match_rate|" +
+                    Hex(mc.continuous_match_rate));
+    lines.push_back("mc|mean_mse|" + Hex(mc.mean_mse));
+    lines.push_back("mc|mean_mi_bits|" + Hex(mc.mean_mi_bits));
+    for (uint64_t seed : mc.result.round_seeds) {
+      lines.push_back("mc|round_seed|" + std::to_string(seed));
+    }
+    for (const MethodAttributeResult& a : mc.result.attributes) {
+      lines.push_back("mc_attr|" + a.name + "|" +
+                      std::to_string(a.rows_compared) + "|" +
+                      Hex(a.mean_matches) + "|" + Hex(a.stddev_matches) +
+                      "|" + Hex(a.mean_mse));
+    }
+    for (const RiskMeasureStats& m : mc.result.measures) {
+      for (size_t c = 0; c < m.mean.size(); ++c) {
+        lines.push_back("mc_measure|" + m.estimator + "." + m.measure + "|" +
+                        std::to_string(c) + "|" +
+                        std::to_string(m.rounds[c]) + "|" + Hex(m.mean[c]) +
+                        "|" + Hex(m.stddev[c]));
+      }
+    }
+  }
+  return lines;
+}
+
+std::vector<std::string> GoldenFigureOneLines() {
+  std::vector<std::string> out;
+  for (const std::string& line : Split(kGoldenFigureOne, '\n')) {
+    if (!line.empty()) out.push_back(line);
+  }
+  return out;
+}
+
+// Discovery inside Align() runs on the global pool, the Monte-Carlo rounds
+// on TopologyOptions::threads; both take the thread count under test.
+void ExpectFigureOneGolden(size_t threads) {
+  SetGlobalThreadCount(threads);
+  EXPECT_EQ(RenderFigureOne(threads), GoldenFigureOneLines());
+  SetGlobalThreadCount(0);
+}
+
+TEST(TopologyGoldenTest, FigureOneAtOneThread) { ExpectFigureOneGolden(1); }
+
+TEST(TopologyGoldenTest, FigureOneAtEightThreads) {
+  ExpectFigureOneGolden(8);
 }
 
 // --- Topology semantics -------------------------------------------------------
@@ -353,35 +410,42 @@ TEST(CoalitionTest, DefaultVictimsAreDisclosersToMembers) {
             alignment->intersection_size());
 }
 
-TEST(CoalitionTest, SingleVictimMatchesDisclosureSweepBitwise) {
-  // A coalition of one attacker with a per-level policy override is
-  // exactly the old SweepDisclosureLevels, level by level.
+TEST(CoalitionTest, SingleShotScoresUnderTopologyLeakageOptions) {
+  // The single shot is scored under TopologyOptions::leakage, like the
+  // Monte-Carlo rounds; it is the engine's replay of attack_seed.
   CoalitionFixture f = MakeCoalitionFixture();
   auto alignment = f.topo.Align(f.options);
   ASSERT_TRUE(alignment.ok());
+  CoalitionSpec spec;
+  spec.attackers = {f.bank};
+  spec.victims = {f.ecom};
+  auto defaults = f.topo.EvaluateCoalition(*alignment, spec, f.options);
+  TopologyOptions wide = f.options;
+  wide.leakage.absolute_epsilon = 5.0;
+  auto outcome = f.topo.EvaluateCoalition(*alignment, spec, wide);
+  ASSERT_TRUE(defaults.ok()) << defaults.status().ToString();
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_TRUE(outcome->reconstructed);
 
-  auto shared = f.topo.party(f.ecom).ShareMetadata(DisclosureLevel::kWithRfds);
-  ASSERT_TRUE(shared.ok());
-  auto sweep = SweepDisclosureLevels(*shared, alignment->aligned[f.ecom],
-                                     f.options.attack_seed);
-  ASSERT_TRUE(sweep.ok());
+  ExperimentConfig config;
+  config.leakage = wide.leakage;
+  auto expected = ExperimentEngine(outcome->victim_union, outcome->joint)
+                      .ReplayRound(GenerationMethod::kFull, wide.attack_seed,
+                                   config);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ExpectReportsBitIdentical(outcome->leakage, *expected);
 
-  const DisclosureLevel levels[] = {
-      DisclosureLevel::kNames,
-      DisclosureLevel::kNamesAndDomains,
-      DisclosureLevel::kWithFds,
-      DisclosureLevel::kWithRfds,
-  };
-  for (size_t i = 0; i < 4; ++i) {
-    CoalitionSpec spec;
-    spec.attackers = {f.bank};
-    spec.victims = {f.ecom};
-    spec.policy_override = MetadataPolicy::AtLevel(levels[i]);
-    auto outcome = f.topo.EvaluateCoalition(*alignment, spec, f.options);
-    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    EXPECT_EQ(outcome->reconstructed, (*sweep)[i].reconstructed);
-    ExpectReportsBitIdentical(outcome->leakage, (*sweep)[i].leakage);
+  bool continuous_differs = false;
+  ASSERT_EQ(outcome->leakage.attributes.size(),
+            defaults->leakage.attributes.size());
+  for (size_t i = 0; i < outcome->leakage.attributes.size(); ++i) {
+    const AttributeLeakage& a = outcome->leakage.attributes[i];
+    if (a.semantic == SemanticType::kContinuous &&
+        a.matches != defaults->leakage.attributes[i].matches) {
+      continuous_differs = true;
+    }
   }
+  EXPECT_TRUE(continuous_differs);
 }
 
 TEST(CoalitionTest, MultiVictimJointViewConcatenatesSlices) {
@@ -442,10 +506,10 @@ TEST(CoalitionTest, MonteCarloIsThreadCountInvariantAndReplays) {
   config.leakage = f.options.leakage;
   ASSERT_FALSE(a.result.round_seeds.empty());
   uint64_t seed = a.result.round_seeds.front();
-  auto replay1 = ReplayCoalitionRound(serial->joint, serial->victim_union,
-                                      seed, config);
-  auto replay2 = ReplayCoalitionRound(parallel->joint,
-                                      parallel->victim_union, seed, config);
+  auto replay1 = ExperimentEngine(serial->victim_union, serial->joint)
+                     .ReplayRound(GenerationMethod::kFull, seed, config);
+  auto replay2 = ExperimentEngine(parallel->victim_union, parallel->joint)
+                     .ReplayRound(GenerationMethod::kFull, seed, config);
   ASSERT_TRUE(replay1.ok() && replay2.ok());
   ExpectReportsBitIdentical(*replay1, *replay2);
 }

@@ -1,5 +1,6 @@
 // Tests for src/vfl: PSI, Party, vertical logistic regression, the
-// adversary simulator and the end-to-end scenario.
+// full-package attack on each disclosure level and the end-to-end
+// two-party federation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,11 +9,11 @@
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/fintech.h"
 #include "metadata/metadata_package.h"
-#include "vfl/attack.h"
+#include "privacy/experiment.h"
 #include "vfl/logistic_regression.h"
 #include "vfl/party.h"
 #include "vfl/psi.h"
-#include "vfl/scenario.h"
+#include "vfl/topology.h"
 #include "vfl/vertical_split.h"
 
 namespace metaleak {
@@ -24,6 +25,68 @@ std::vector<Value> Ids(std::initializer_list<int64_t> xs) {
   return out;
 }
 
+// Two-party PSI: both key columns tokenized under one session salt.
+Result<MultiPsiResult> Psi(const std::vector<Value>& ids_a,
+                           const std::vector<Value>& ids_b, uint64_t salt) {
+  return IntersectAllTokens(
+      {DerivePsiTokens(ids_a, salt), DerivePsiTokens(ids_b, salt)});
+}
+
+const DisclosureLevel kLevels[] = {
+    DisclosureLevel::kNames,
+    DisclosureLevel::kNamesAndDomains,
+    DisclosureLevel::kWithFds,
+    DisclosureLevel::kWithRfds,
+};
+
+// The paper's Figure-1 exchange as a 2-node federation: `discloser`
+// shares metadata with `label_holder`, which trains and then attacks the
+// discloser's slice once per disclosure level.
+struct TwoPartyOutcome {
+  size_t intersection_size = 0;
+  double joint_accuracy = 0.0;
+  double label_party_only_accuracy = 0.0;
+  std::vector<CoalitionOutcome> by_level;
+};
+
+Result<TwoPartyOutcome> RunTwoParty(const Party& label_holder,
+                                    const Party& discloser,
+                                    TopologyOptions options) {
+  FederationTopology topo;
+  options.label_party = topo.AddParty(label_holder);
+  const size_t victim = topo.AddParty(discloser);
+  METALEAK_RETURN_NOT_OK(topo.AddEdge(
+      victim, options.label_party,
+      MetadataPolicy::AtLevel(DisclosureLevel::kWithRfds)));
+  METALEAK_ASSIGN_OR_RETURN(TopologyAlignment alignment,
+                            topo.Align(options));
+  TwoPartyOutcome out;
+  out.intersection_size = alignment.intersection_size();
+  METALEAK_ASSIGN_OR_RETURN(UtilityOutcome utility,
+                            topo.EvaluateUtility(alignment, options));
+  out.joint_accuracy = utility.joint_accuracy;
+  METALEAK_ASSIGN_OR_RETURN(out.label_party_only_accuracy,
+                            topo.LabelPartyOnlyAccuracy(alignment, options));
+  for (DisclosureLevel level : kLevels) {
+    CoalitionSpec spec;
+    spec.attackers = {options.label_party};
+    spec.policy_override = MetadataPolicy::AtLevel(level);
+    METALEAK_ASSIGN_OR_RETURN(
+        CoalitionOutcome attack,
+        topo.EvaluateCoalition(alignment, spec, options));
+    out.by_level.push_back(std::move(attack));
+  }
+  return out;
+}
+
+// One full-package reconstruction of `real` from `received`, scored at
+// the default epsilon.
+Result<LeakageReport> Reconstruct(const MetadataPackage& received,
+                                  const Relation& real, uint64_t seed) {
+  return ExperimentEngine(real, received)
+      .ReplayRound(GenerationMethod::kFull, seed);
+}
+
 // --- PSI ----------------------------------------------------------------------
 
 TEST(PsiTest, TokensAreDeterministicPerSalt) {
@@ -33,46 +96,46 @@ TEST(PsiTest, TokensAreDeterministicPerSalt) {
 }
 
 TEST(PsiTest, IntersectionFindsCommonIds) {
-  auto psi = ComputePsi(Ids({1, 2, 3, 4}), Ids({3, 4, 5, 6}), 42);
+  auto psi = Psi(Ids({1, 2, 3, 4}), Ids({3, 4, 5, 6}), 42);
   ASSERT_TRUE(psi.ok());
   ASSERT_EQ(psi->size(), 2u);
-  // rows_a/rows_b point at the same entity pairwise.
+  // rows[0]/rows[1] point at the same entity pairwise.
   std::vector<Value> a = Ids({1, 2, 3, 4});
   std::vector<Value> b = Ids({3, 4, 5, 6});
   for (size_t i = 0; i < psi->size(); ++i) {
-    EXPECT_EQ(a[psi->rows_a[i]], b[psi->rows_b[i]]);
+    EXPECT_EQ(a[psi->rows[0][i]], b[psi->rows[1][i]]);
   }
 }
 
 TEST(PsiTest, EmptyIntersection) {
-  auto psi = ComputePsi(Ids({1, 2}), Ids({3, 4}), 42);
+  auto psi = Psi(Ids({1, 2}), Ids({3, 4}), 42);
   ASSERT_TRUE(psi.ok());
   EXPECT_EQ(psi->size(), 0u);
 }
 
 TEST(PsiTest, DuplicatesKeepFirstOccurrence) {
-  auto psi = ComputePsi(Ids({7, 7, 8}), Ids({7, 9, 7}), 42);
+  auto psi = Psi(Ids({7, 7, 8}), Ids({7, 9, 7}), 42);
   ASSERT_TRUE(psi.ok());
   ASSERT_EQ(psi->size(), 1u);
-  EXPECT_EQ(psi->rows_a[0], 0u);
-  EXPECT_EQ(psi->rows_b[0], 0u);
+  EXPECT_EQ(psi->rows[0][0], 0u);
+  EXPECT_EQ(psi->rows[1][0], 0u);
 }
 
 TEST(PsiTest, OrderIsCanonicalAcrossPermutations) {
   // The intersection must come out in the same entity order regardless of
   // each party's row order (token order is derived data, not row order).
-  auto psi1 = ComputePsi(Ids({1, 2, 3}), Ids({3, 2, 1}), 42);
-  auto psi2 = ComputePsi(Ids({3, 1, 2}), Ids({2, 1, 3}), 42);
+  auto psi1 = Psi(Ids({1, 2, 3}), Ids({3, 2, 1}), 42);
+  auto psi2 = Psi(Ids({3, 1, 2}), Ids({2, 1, 3}), 42);
   ASSERT_TRUE(psi1.ok() && psi2.ok());
   std::vector<Value> a1 = Ids({1, 2, 3});
   std::vector<Value> a2 = Ids({3, 1, 2});
   std::vector<Value> order1;
   std::vector<Value> order2;
   for (size_t i = 0; i < psi1->size(); ++i) {
-    order1.push_back(a1[psi1->rows_a[i]]);
+    order1.push_back(a1[psi1->rows[0][i]]);
   }
   for (size_t i = 0; i < psi2->size(); ++i) {
-    order2.push_back(a2[psi2->rows_a[i]]);
+    order2.push_back(a2[psi2->rows[0][i]]);
   }
   EXPECT_EQ(order1, order2);
 }
@@ -166,9 +229,9 @@ TEST(VflTrainingTest, LearnsSeparableData) {
   VflTrainOptions options;
   options.epochs = 500;
   options.learning_rate = 0.5;
-  auto model = TrainVerticalLogisticRegression(fa, fb, labels, options);
+  auto model = TrainVerticalLogisticRegressionN({&fa, &fb}, labels, options);
   ASSERT_TRUE(model.ok());
-  auto acc = Accuracy(*model, fa, fb, labels);
+  auto acc = AccuracyN(*model, {&fa, &fb}, labels);
   ASSERT_TRUE(acc.ok());
   EXPECT_GT(*acc, 0.95);
   // Loss decreases.
@@ -184,13 +247,13 @@ TEST(VflTrainingTest, RejectsBadInput) {
   RelationBuilder b2(s);
   b2.AddRow({Value::Real(1.0)}).AddRow({Value::Real(2.0)});
   Relation fb = std::move(b2.Finish()).ValueOrDie();
-  EXPECT_FALSE(
-      TrainVerticalLogisticRegression(fa, fb, {1}).ok());  // row mismatch
-  EXPECT_FALSE(TrainVerticalLogisticRegression(fa, fa, {2}).ok());  // label
-  EXPECT_FALSE(TrainVerticalLogisticRegression(fa, fa, {}).ok());
+  // Row mismatch, a label outside 0/1, no rows.
+  EXPECT_FALSE(TrainVerticalLogisticRegressionN({&fa, &fb}, {1}).ok());
+  EXPECT_FALSE(TrainVerticalLogisticRegressionN({&fa, &fa}, {2}).ok());
+  EXPECT_FALSE(TrainVerticalLogisticRegressionN({&fa, &fa}, {}).ok());
 }
 
-// --- Attack simulator --------------------------------------------------------------
+// --- Full-package attack per disclosure level --------------------------------
 
 TEST(AttackTest, ReconstructionRequiresDomains) {
   datasets::FintechScenario s = datasets::Fintech();
@@ -199,7 +262,7 @@ TEST(AttackTest, ReconstructionRequiresDomains) {
   ASSERT_TRUE(metadata.ok());
   auto aligned = ecom.AlignedFeatures({0, 1, 2});
   ASSERT_TRUE(aligned.ok());
-  EXPECT_FALSE(SimulateReconstruction(*metadata, *aligned, 1).ok());
+  EXPECT_FALSE(Reconstruct(*metadata, *aligned, 1).ok());
 }
 
 TEST(AttackTest, SweepCoversAllLevels) {
@@ -211,14 +274,15 @@ TEST(AttackTest, SweepCoversAllLevels) {
   for (size_t r = 0; r < 50; ++r) rows.push_back(r);
   auto aligned = ecom.AlignedFeatures(rows);
   ASSERT_TRUE(aligned.ok());
-  auto sweep = SweepDisclosureLevels(*metadata, *aligned, 3);
-  ASSERT_TRUE(sweep.ok());
-  ASSERT_EQ(sweep->size(), 4u);
-  EXPECT_FALSE((*sweep)[0].reconstructed);  // names only
+  // Names alone disclose no domains, so nothing can be sampled.
+  EXPECT_FALSE(metadata->Restrict(kLevels[0]).HasAllDomains());
+  EXPECT_FALSE(Reconstruct(metadata->Restrict(kLevels[0]), *aligned, 3).ok());
   for (size_t i = 1; i < 4; ++i) {
-    EXPECT_TRUE((*sweep)[i].reconstructed);
-    EXPECT_EQ((*sweep)[i].leakage.attributes.size(),
-              aligned->num_columns());
+    MetadataPackage restricted = metadata->Restrict(kLevels[i]);
+    EXPECT_TRUE(restricted.HasAllDomains());
+    auto report = Reconstruct(restricted, *aligned, 3);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->attributes.size(), aligned->num_columns());
   }
 }
 
@@ -233,14 +297,17 @@ TEST(AttackTest, SweepRejectsPackageTheScanCannotScore) {
                                            {{Value::Int(3), Value::Int(3)}}))
                       .ValueOrDie();
   const std::string reason = "several domain entries cross-type";
-  Status attack = SimulateReconstruction(*received, real, 1).status();
+  Status attack = Reconstruct(*received, real, 1).status();
   EXPECT_TRUE(attack.IsInvalid()) << attack.ToString();
   EXPECT_NE(attack.message().find(reason), std::string::npos)
       << attack.ToString();
-  Status sweep = SweepDisclosureLevels(*received, real, 1).status();
-  EXPECT_TRUE(sweep.IsInvalid()) << sweep.ToString();
-  EXPECT_NE(sweep.message().find(reason), std::string::npos)
-      << sweep.ToString();
+  for (size_t i = 1; i < 4; ++i) {
+    Status level =
+        Reconstruct(received->Restrict(kLevels[i]), real, 1).status();
+    EXPECT_TRUE(level.IsInvalid()) << level.ToString();
+    EXPECT_NE(level.message().find(reason), std::string::npos)
+        << level.ToString();
+  }
 }
 
 // --- Vertical split ---------------------------------------------------------------
@@ -313,32 +380,32 @@ TEST(VerticalSplitTest, SplitEchocardiogramRunsFullScenario) {
   ASSERT_TRUE(split.ok());
   Party a("hospital_a", split->party_a, split->key_attribute);
   Party b("hospital_b", split->party_b, split->key_attribute);
-  ScenarioOptions scenario;
+  TopologyOptions scenario;
   scenario.label_attribute = "alive_at_1";
   scenario.train.epochs = 60;
-  auto outcome = RunScenario(a, b, scenario);
+  auto outcome = RunTwoParty(a, b, scenario);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_GT(outcome->intersection_size, 80u);
   EXPECT_GT(outcome->joint_accuracy, 0.5);
-  EXPECT_EQ(outcome->leakage_by_level.size(), 4u);
+  EXPECT_EQ(outcome->by_level.size(), 4u);
 }
 
-// --- End-to-end scenario --------------------------------------------------------------
+// --- End-to-end two-party federation -----------------------------------------
 
 TEST(ScenarioTest, FintechEndToEnd) {
   datasets::FintechScenario s = datasets::Fintech();
   Party bank("bank", s.bank, "customer_id");
   Party ecom("ecom", s.ecommerce, "customer_id");
-  ScenarioOptions options;
+  TopologyOptions options;
   options.train.epochs = 120;
-  auto outcome = RunScenario(bank, ecom, options);
+  auto outcome = RunTwoParty(bank, ecom, options);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_GT(outcome->intersection_size, 200u);
   EXPECT_GT(outcome->joint_accuracy, 0.5);
   // Federation helps: the joint model should beat (or match) solo A.
   EXPECT_GE(outcome->joint_accuracy,
-            outcome->party_a_only_accuracy - 0.02);
-  ASSERT_EQ(outcome->leakage_by_level.size(), 4u);
+            outcome->label_party_only_accuracy - 0.02);
+  ASSERT_EQ(outcome->by_level.size(), 4u);
 }
 
 TEST(ScenarioTest, FdLevelLeaksNoMoreThanDomains) {
@@ -348,9 +415,9 @@ TEST(ScenarioTest, FdLevelLeaksNoMoreThanDomains) {
   datasets::FintechScenario s = datasets::Fintech();
   Party bank("bank", s.bank, "customer_id");
   Party ecom("ecom", s.ecommerce, "customer_id");
-  auto outcome = RunScenario(bank, ecom);
+  auto outcome = RunTwoParty(bank, ecom, TopologyOptions());
   ASSERT_TRUE(outcome.ok());
-  const auto& levels = outcome->leakage_by_level;
+  const auto& levels = outcome->by_level;
   double domains_matches =
       static_cast<double>(levels[1].leakage.TotalCategoricalMatches());
   double rfds_matches =
