@@ -4,6 +4,7 @@
 
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/synthetic.h"
+#include "data/encoded_relation.h"
 #include "discovery/discovery_engine.h"
 #include "discovery/rfd_discovery.h"
 #include "discovery/tane.h"
@@ -20,11 +21,10 @@ Relation UniformRelation(size_t rows, size_t cats, size_t conts,
 }
 
 void BM_PliConstruction(benchmark::State& state) {
-  Relation rel = UniformRelation(static_cast<size_t>(state.range(0)), 1, 0,
-                                 32);
+  EncodedRelation enc = EncodedRelation::Encode(
+      UniformRelation(static_cast<size_t>(state.range(0)), 1, 0, 32));
   for (auto _ : state) {
-    PositionListIndex pli =
-        PositionListIndex::FromColumn(rel.column(0));
+    PositionListIndex pli = PositionListIndex::FromEncoded(enc, {0});
     benchmark::DoNotOptimize(pli.num_clusters());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -32,10 +32,10 @@ void BM_PliConstruction(benchmark::State& state) {
 BENCHMARK(BM_PliConstruction)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_PliIntersection(benchmark::State& state) {
-  Relation rel = UniformRelation(static_cast<size_t>(state.range(0)), 2, 0,
-                                 32);
-  PositionListIndex a = PositionListIndex::FromColumn(rel.column(0));
-  PositionListIndex b = PositionListIndex::FromColumn(rel.column(1));
+  EncodedRelation enc = EncodedRelation::Encode(
+      UniformRelation(static_cast<size_t>(state.range(0)), 2, 0, 32));
+  PositionListIndex a = PositionListIndex::FromEncoded(enc, {0});
+  PositionListIndex b = PositionListIndex::FromEncoded(enc, {1});
   for (auto _ : state) {
     PositionListIndex ab = a.Intersect(b);
     benchmark::DoNotOptimize(ab.num_clusters());

@@ -1,9 +1,6 @@
-// Encoding-layer microbenchmarks: legacy Value-path vs dictionary-coded
-// PLI construction and G3 computation (google-benchmark). The code path
-// is the one every pipeline entry point now uses; the Value path is kept
-// for agreement testing, and this bench quantifies the gap (the target
-// regime is the 50k-row synthetic dataset, where code-path PLI
-// construction should be at least 2x faster).
+// Encoding-layer microbenchmarks (google-benchmark): the one-time cost of
+// dictionary-encoding a relation, and the PLI construction and G3
+// computation that every pipeline entry point runs on the codes.
 #include <benchmark/benchmark.h>
 
 #include "data/datasets/synthetic.h"
@@ -20,7 +17,7 @@ Relation UniformRelation(size_t rows, size_t cats, size_t conts,
       .ValueOrDie();
 }
 
-// --- One-time encoding cost ---------------------------------------------------
+// --- One-time encoding cost --------------------------------------------------
 
 void BM_EncodeRelation(benchmark::State& state) {
   Relation rel = UniformRelation(static_cast<size_t>(state.range(0)), 3, 2,
@@ -33,18 +30,7 @@ void BM_EncodeRelation(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeRelation)->Arg(1000)->Arg(10000)->Arg(50000);
 
-// --- Single-column PLI: Value hashing vs counting over codes ------------------
-
-void BM_PliFromColumnValuePath(benchmark::State& state) {
-  Relation rel = UniformRelation(static_cast<size_t>(state.range(0)), 1, 0,
-                                 64);
-  for (auto _ : state) {
-    PositionListIndex pli = PositionListIndex::FromColumn(rel.column(0));
-    benchmark::DoNotOptimize(pli.num_clusters());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PliFromColumnValuePath)->Arg(1000)->Arg(10000)->Arg(50000);
+// --- Single-column PLI: counting over codes ----------------------------------
 
 void BM_PliFromColumnCodePath(benchmark::State& state) {
   Relation rel = UniformRelation(static_cast<size_t>(state.range(0)), 1, 0,
@@ -59,19 +45,7 @@ void BM_PliFromColumnCodePath(benchmark::State& state) {
 }
 BENCHMARK(BM_PliFromColumnCodePath)->Arg(1000)->Arg(10000)->Arg(50000);
 
-// --- Multi-column PLI: tuple hashing vs code folding --------------------------
-
-void BM_PliFromColumnsValuePath(benchmark::State& state) {
-  Relation rel = UniformRelation(static_cast<size_t>(state.range(0)), 3, 0,
-                                 16);
-  for (auto _ : state) {
-    PositionListIndex pli =
-        PositionListIndex::FromColumns(rel, {0, 1, 2});
-    benchmark::DoNotOptimize(pli.num_clusters());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PliFromColumnsValuePath)->Arg(1000)->Arg(10000)->Arg(50000);
+// --- Multi-column PLI: code folding ------------------------------------------
 
 void BM_PliFromColumnsCodePath(benchmark::State& state) {
   Relation rel = UniformRelation(static_cast<size_t>(state.range(0)), 3, 0,
@@ -86,19 +60,7 @@ void BM_PliFromColumnsCodePath(benchmark::State& state) {
 }
 BENCHMARK(BM_PliFromColumnsCodePath)->Arg(1000)->Arg(10000)->Arg(50000);
 
-// --- G3 error on partitions built from each representation --------------------
-
-void BM_G3ValuePath(benchmark::State& state) {
-  Relation rel = UniformRelation(static_cast<size_t>(state.range(0)), 2, 0,
-                                 16);
-  for (auto _ : state) {
-    PositionListIndex x = PositionListIndex::FromColumn(rel.column(0));
-    PositionListIndex a = PositionListIndex::FromColumn(rel.column(1));
-    benchmark::DoNotOptimize(x.G3Error(a));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_G3ValuePath)->Arg(1000)->Arg(10000)->Arg(50000);
+// --- G3 error on partitions built from codes ---------------------------------
 
 void BM_G3CodePath(benchmark::State& state) {
   Relation rel = UniformRelation(static_cast<size_t>(state.range(0)), 2, 0,

@@ -433,8 +433,9 @@ std::vector<KernelCase> KernelCases(const KernelInputs& in,
        }},
       {"EpsilonBallMse",
        [p, n, eps](SimdLevel l, bool) {
-         return DigestStats(
-             EpsilonBallMse(l, p->real.data(), p->syn.data(), n, eps));
+         EpsilonBallStats s;
+         EpsilonBallMseInto(l, p->real.data(), p->syn.data(), n, eps, &s);
+         return DigestStats(s);
        }},
       {"EpsilonBallMseCoded/u32",
        [p, n, eps](SimdLevel l, bool) {

@@ -71,10 +71,8 @@ double IntervalOverlap(double a_lo, double a_hi, double b_lo, double b_hi) {
 
 namespace {
 
-// Shared accumulation for both count-buffer types. The iteration order is
-// index order and the arithmetic is the exact expression ColumnEntropy
-// used before it was re-expressed through this helper, so the
-// re-expression is bit-identical.
+// Shared accumulation for both count-buffer types: index order, one
+// expression, so every caller gets the same bits for the same counts.
 template <typename Count>
 double ShannonEntropyBitsImpl(const Count* counts, size_t n) {
   double total = 0.0;

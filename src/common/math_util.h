@@ -54,7 +54,7 @@ double IntervalOverlap(double a_lo, double a_hi, double b_lo, double b_hi);
 /// histogram of counts: -sum p_i log2 p_i with p_i = counts[i] / total.
 /// Zero counts contribute nothing; 0 for an empty histogram. This is THE
 /// entropy definition of the library — the analytical models
-/// (ColumnEntropy, ValueDistribution::EntropyBits) and the empirical
+/// (ValueDistribution::EntropyBits) and the empirical
 /// InfoTheoreticEstimator all route through it, so their log-sums can
 /// never drift apart.
 double ShannonEntropyBits(const std::vector<size_t>& counts);

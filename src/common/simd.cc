@@ -777,13 +777,6 @@ void EpsilonBallMseInto(SimdLevel level, const double* real,
   ScalarEpsilonBallMseInto(real, syn, n, eps, stats);
 }
 
-EpsilonBallStats EpsilonBallMse(SimdLevel level, const double* real,
-                                const double* syn, size_t n, double eps) {
-  EpsilonBallStats out;
-  EpsilonBallMseInto(level, real, syn, n, eps, &out);
-  return out;
-}
-
 namespace {
 
 template <typename Code>
@@ -829,16 +822,6 @@ void EpsilonBallMseCodedInto(SimdLevel level, const double* real,
                              double eps, EpsilonBallStats* stats) {
   EpsilonBallMseCodedIntoDispatch(level, real, syn_codes, code_numeric, n,
                                   eps, stats);
-}
-
-EpsilonBallStats EpsilonBallMseCoded(SimdLevel level, const double* real,
-                                     const uint32_t* syn_codes,
-                                     const double* code_numeric, size_t n,
-                                     double eps) {
-  EpsilonBallStats out;
-  EpsilonBallMseCodedInto(level, real, syn_codes, code_numeric, n, eps,
-                          &out);
-  return out;
 }
 
 void HistogramU32(SimdLevel level, const uint32_t* codes, size_t n,
@@ -1045,17 +1028,6 @@ void BitsetOrInto(uint64_t* dst, const uint64_t* src, size_t words) {
 
 void BitsetOrNotInto(uint64_t* dst, const uint64_t* src, size_t words) {
   for (size_t w = 0; w < words; ++w) dst[w] |= ~src[w];
-}
-
-size_t BitsetAndCount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                      size_t words) {
-  size_t count = 0;
-  for (size_t w = 0; w < words; ++w) {
-    const uint64_t v = a[w] & b[w];
-    dst[w] = v;
-    count += static_cast<size_t>(__builtin_popcountll(v));
-  }
-  return count;
 }
 
 size_t BitsetAndPopcount(const uint64_t* a, const uint64_t* b,

@@ -21,8 +21,8 @@
 // squares in row order precisely so the MSE sum rounds exactly like the
 // sequential reference; see Avx2EpsilonBallMseBody in simd.cc). Consumers
 // therefore keep the library-wide bit-identical guarantees (code path ==
-// value path, threads-1 == threads-8) at either dispatch level, and the
-// golden-parity suites double as the gate for these kernels.
+// boxed-Value reference, threads-1 == threads-8) at either dispatch level,
+// and the golden-parity suites double as the gate for these kernels.
 //
 // Dispatch control: `METALEAK_SIMD` caps the level: "off" (also
 // "scalar", "0", "none") forces the scalar reference; unset, "auto" and
@@ -125,23 +125,21 @@ size_t CountEqualU16(SimdLevel level, const uint16_t* a, const uint16_t* b,
 size_t CountEqualF64(SimdLevel level, const double* a, const double* b,
                      size_t n);
 
-/// Fused Def 2.2/2.3 continuous scan: positions where real[r] is NaN
-/// (NULL / non-numeric) are skipped entirely; everywhere else the row is
-/// compared, |real-syn| <= eps matches are counted (a NaN difference
-/// never matches), and (real-syn)^2 is accumulated in ascending row
-/// order — bit-identical to the sequential reference sum, including NaN
-/// propagation from a NaN synthetic value.
+/// Running totals of the fused Def 2.2/2.3 continuous scan below. Start
+/// from a zeroed struct; each call continues counting and summing.
 struct EpsilonBallStats {
   size_t matches = 0;
   size_t compared = 0;
   double sum_squares = 0.0;
 };
 
-EpsilonBallStats EpsilonBallMse(SimdLevel level, const double* real,
-                                const double* syn, size_t n, double eps);
-
-/// Carried-accumulator form for cache-tiled scans: continues counting and
-/// summing into *stats. Splitting a scan into tiles whose lengths are
+/// Fused Def 2.2/2.3 continuous scan: positions where real[r] is NaN
+/// (NULL / non-numeric) are skipped entirely; everywhere else the row is
+/// compared, |real-syn| <= eps matches are counted (a NaN difference
+/// never matches), and (real-syn)^2 is accumulated in ascending row
+/// order — bit-identical to the sequential reference sum, including NaN
+/// propagation from a NaN synthetic value. The totals carry across calls
+/// for cache-tiled scans: splitting a scan into tiles whose lengths are
 /// multiples of 4 and chaining the calls is bit-identical to one full
 /// scan (the vector body processes rows in groups of 4 with lane-order
 /// adds, so tile boundaries on multiples of 4 preserve the grouping; only
@@ -154,15 +152,9 @@ void EpsilonBallMseInto(SimdLevel level, const double* real,
 /// syn value of row r is code_numeric[syn_codes[r]] (NaN = NULL or
 /// non-numeric). Here a NaN on *either* side skips the row (the coded
 /// reference loop's predicate). code_numeric must have an entry for
-/// every code.
-EpsilonBallStats EpsilonBallMseCoded(SimdLevel level, const double* real,
-                                     const uint32_t* syn_codes,
-                                     const double* code_numeric, size_t n,
-                                     double eps);
-
-/// Carried-accumulator forms of the coded scan, one per code width (the
-/// narrow variants widen 4 indices per vector in-register before the
-/// gather). Same tiling contract as EpsilonBallMseInto.
+/// every code. One overload per code width (the narrow variants widen 4
+/// indices per vector in-register before the gather); same tiling
+/// contract as EpsilonBallMseInto.
 void EpsilonBallMseCodedInto(SimdLevel level, const double* real,
                              const uint32_t* syn_codes,
                              const double* code_numeric, size_t n,
@@ -283,11 +275,6 @@ void BitsetOrInto(uint64_t* dst, const uint64_t* src, size_t words);
 /// dst |= ~src, word-wise. Sets tail bits; callers re-mask the last word
 /// with BitsetTailMask afterwards.
 void BitsetOrNotInto(uint64_t* dst, const uint64_t* src, size_t words);
-
-/// dst = a & b, word-wise; returns the popcount of the result (the
-/// AND+popcount cluster intersection).
-size_t BitsetAndCount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                      size_t words);
 
 /// Popcount of a & b without materializing the AND — the counting form
 /// of the cluster intersection (g3, fan-out, refinement checks need only

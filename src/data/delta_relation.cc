@@ -83,10 +83,7 @@ Result<BatchEffects> DeltaRelation::ApplyBatch(const RowBatch& batch) {
                              " cells, schema has " + std::to_string(m));
     }
     for (size_t c = 0; c < m; ++c) {
-      if (!ValueMatchesType(row[c], schema_.attribute(c).type)) {
-        return Status::Invalid("insert value type mismatch in attribute '" +
-                               schema_.attribute(c).name + "'");
-      }
+      METALEAK_RETURN_NOT_OK(CheckCell(row[c], schema_.attribute(c)));
     }
   }
 

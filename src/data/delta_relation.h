@@ -136,8 +136,8 @@ class DeltaRelation {
     return columns_[c].order_index;
   }
 
-  /// Applies one delete+insert batch. Validates row indices and value
-  /// types against the schema; on error the delta is unchanged.
+  /// Applies one delete+insert batch. Validates row indices, and each
+  /// inserted cell with CheckCell; on error the delta is unchanged.
   Result<BatchEffects> ApplyBatch(const RowBatch& batch);
 
   /// Renumbers live codes into canonical (Value-rank) order, drops

@@ -1,5 +1,6 @@
 #include "data/relation.h"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/macros.h"
@@ -7,17 +8,30 @@
 
 namespace metaleak {
 
-bool ValueMatchesType(const Value& value, DataType type) {
-  if (value.is_null()) return true;
-  switch (type) {
+Status CheckCell(const Value& value, const Attribute& attribute) {
+  if (value.is_null()) return Status::OK();
+  bool matches = false;
+  switch (attribute.type) {
     case DataType::kInt64:
-      return value.is_int();
+      matches = value.is_int();
+      break;
     case DataType::kDouble:
-      return value.is_double();
+      matches = value.is_double();
+      break;
     case DataType::kString:
-      return value.is_string();
+      matches = value.is_string();
+      break;
   }
-  return false;
+  if (!matches) {
+    return Status::TypeError("value '" + value.ToString() +
+                             "' does not match type of attribute '" +
+                             attribute.name + "'");
+  }
+  if (value.is_double() && std::isnan(value.AsDouble())) {
+    return Status::Invalid("NaN value in attribute '" + attribute.name +
+                           "': NaN has no place in the value order");
+  }
+  return Status::OK();
 }
 
 Result<Relation> Relation::Make(Schema schema,
@@ -37,11 +51,7 @@ Result<Relation> Relation::Make(Schema schema,
   }
   for (size_t c = 0; c < columns.size(); ++c) {
     for (const Value& v : columns[c]) {
-      if (!ValueMatchesType(v, schema.attribute(c).type)) {
-        return Status::TypeError("value '" + v.ToString() +
-                                 "' does not match type of attribute '" +
-                                 schema.attribute(c).name + "'");
-      }
+      METALEAK_RETURN_NOT_OK(CheckCell(v, schema.attribute(c)));
     }
   }
   return Relation(std::move(schema), std::move(columns));
@@ -91,11 +101,7 @@ Status Relation::AppendRow(std::vector<Value> row) {
                            std::to_string(columns_.size()));
   }
   for (size_t c = 0; c < row.size(); ++c) {
-    if (!ValueMatchesType(row[c], schema_.attribute(c).type)) {
-      return Status::TypeError("value '" + row[c].ToString() +
-                               "' does not match type of attribute '" +
-                               schema_.attribute(c).name + "'");
-    }
+    METALEAK_RETURN_NOT_OK(CheckCell(row[c], schema_.attribute(c)));
   }
   for (size_t c = 0; c < row.size(); ++c) {
     columns_[c].push_back(std::move(row[c]));
@@ -141,13 +147,8 @@ RelationBuilder& RelationBuilder::AddRow(std::vector<Value> row) {
     return *this;
   }
   for (size_t c = 0; c < row.size(); ++c) {
-    if (!ValueMatchesType(row[c], schema_.attribute(c).type)) {
-      deferred_error_ =
-          Status::TypeError("value '" + row[c].ToString() +
-                            "' does not match type of attribute '" +
-                            schema_.attribute(c).name + "'");
-      return *this;
-    }
+    deferred_error_ = CheckCell(row[c], schema_.attribute(c));
+    if (!deferred_error_.ok()) return *this;
   }
   for (size_t c = 0; c < row.size(); ++c) {
     columns_[c].push_back(std::move(row[c]));

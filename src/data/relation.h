@@ -22,7 +22,7 @@ class Relation {
   Relation() = default;
 
   /// Builds a relation from columnar data. Fails if column count mismatches
-  /// the schema or columns have ragged lengths.
+  /// the schema, columns have ragged lengths, or a cell fails CheckCell.
   static Result<Relation> Make(Schema schema,
                                std::vector<std::vector<Value>> columns);
 
@@ -53,8 +53,8 @@ class Relation {
   /// Relation restricted to the given row indices, in that order.
   Relation SelectRows(const std::vector<size_t>& rows) const;
 
-  /// Appends a row; fails on arity or (strict) type mismatch. Null values
-  /// are accepted in any column.
+  /// Appends a row; fails on arity or when a cell fails CheckCell (strict
+  /// type match, no NaN). Null values are accepted in any column.
   Status AppendRow(std::vector<Value> row);
 
   /// Renders the first `max_rows` rows as an aligned text table.
@@ -87,8 +87,8 @@ class RelationBuilder {
  public:
   explicit RelationBuilder(Schema schema);
 
-  /// Appends a row; returns *this for chaining in tests. Arity/type errors
-  /// are deferred and reported by Finish().
+  /// Appends a row; returns *this for chaining in tests. Arity and
+  /// CheckCell errors are deferred and reported by Finish().
   RelationBuilder& AddRow(std::vector<Value> row);
 
   /// Validates accumulated rows and produces the relation.
@@ -100,9 +100,13 @@ class RelationBuilder {
   Status deferred_error_;
 };
 
-/// Checks that `value` is storable in an attribute of `type` (nulls always
-/// are). Int values are NOT accepted in double columns; loaders coerce.
-bool ValueMatchesType(const Value& value, DataType type);
+/// Checks that `value` is storable in `attribute` (nulls always are): a
+/// TypeError when its type differs from the attribute's (Int values are
+/// NOT accepted in double columns; loaders coerce), Invalid for a NaN
+/// double, which breaks Value's strict weak order and so every sort and
+/// encode over the column. ±inf is ordered and accepted. Every way a cell
+/// enters a Relation or a DeltaRelation passes through this check.
+Status CheckCell(const Value& value, const Attribute& attribute);
 
 }  // namespace metaleak
 

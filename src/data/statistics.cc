@@ -2,27 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <unordered_set>
-
-#include "common/math_util.h"
 
 namespace metaleak {
 
-namespace {
-
-Status CheckAttribute(const Relation& relation, size_t attribute) {
+Result<ColumnStats> ComputeColumnStats(const Relation& relation,
+                                       size_t attribute) {
   if (attribute >= relation.num_columns()) {
     return Status::OutOfRange("attribute index out of range");
   }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<ColumnStats> ComputeColumnStats(const Relation& relation,
-                                       size_t attribute) {
-  METALEAK_RETURN_NOT_OK(CheckAttribute(relation, attribute));
   ColumnStats stats;
   const std::vector<Value>& col = relation.column(attribute);
   stats.count = col.size();
@@ -86,64 +74,10 @@ double Histogram::Mass(size_t i) const {
   return static_cast<double>(counts[i]) / static_cast<double>(t);
 }
 
-Result<Histogram> BuildHistogram(const Relation& relation, size_t attribute,
-                                 size_t buckets) {
-  METALEAK_RETURN_NOT_OK(CheckAttribute(relation, attribute));
-  if (buckets == 0) {
-    return Status::Invalid("histogram needs at least one bucket");
-  }
-  Histogram h;
-  bool first = true;
-  for (const Value& v : relation.column(attribute)) {
-    if (v.is_null() || !v.is_numeric()) continue;
-    double x = v.AsNumeric();
-    if (first) {
-      h.lo = h.hi = x;
-      first = false;
-    } else {
-      h.lo = std::min(h.lo, x);
-      h.hi = std::max(h.hi, x);
-    }
-  }
-  if (first) {
-    return Status::Invalid("column has no numeric values");
-  }
-  h.counts.assign(buckets, 0);
-  for (const Value& v : relation.column(attribute)) {
-    if (v.is_null() || !v.is_numeric()) continue;
-    h.counts[h.BucketOf(v.AsNumeric())]++;
-  }
-  return h;
-}
-
 size_t FrequencyTable::total() const {
   size_t t = 0;
   for (size_t c : counts) t += c;
   return t;
-}
-
-Result<FrequencyTable> BuildFrequencyTable(const Relation& relation,
-                                           size_t attribute) {
-  METALEAK_RETURN_NOT_OK(CheckAttribute(relation, attribute));
-  std::map<Value, size_t> freq;
-  for (const Value& v : relation.column(attribute)) {
-    if (v.is_null()) continue;
-    freq[v]++;
-  }
-  FrequencyTable table;
-  table.values.reserve(freq.size());
-  table.counts.reserve(freq.size());
-  for (const auto& [value, count] : freq) {
-    table.values.push_back(value);
-    table.counts.push_back(count);
-  }
-  return table;
-}
-
-Result<double> ColumnEntropy(const Relation& relation, size_t attribute) {
-  METALEAK_ASSIGN_OR_RETURN(FrequencyTable table,
-                            BuildFrequencyTable(relation, attribute));
-  return ShannonEntropyBits(table.counts);
 }
 
 }  // namespace metaleak

@@ -1,10 +1,11 @@
-// Column statistics: counts, moments, histograms, frequency tables,
-// entropy.
+// Column statistics: counts and moments per column, and the histogram and
+// frequency-table shapes of a disclosed value distribution.
 //
-// Two consumers: the metadata layer's optional value-distribution
+// The two shapes serve the metadata layer's optional value-distribution
 // disclosure (an *extension* of the paper's model — the paper assumes
 // distributions stay private, and the distribution-disclosure ablation
-// quantifies why that assumption matters), and general profiling output.
+// quantifies why that assumption matters). ValueDistribution::FromEncoded
+// builds both straight off the dictionary encoding.
 #ifndef METALEAK_DATA_STATISTICS_H_
 #define METALEAK_DATA_STATISTICS_H_
 
@@ -49,11 +50,6 @@ struct Histogram {
   double Mass(size_t i) const;
 };
 
-/// Builds an equi-width histogram with `buckets` bins over the non-null
-/// numeric values; fails when the column has none or buckets == 0.
-Result<Histogram> BuildHistogram(const Relation& relation, size_t attribute,
-                                 size_t buckets);
-
 /// Frequency table over a categorical column (non-null values), ordered
 /// by Value's total order for determinism.
 struct FrequencyTable {
@@ -62,13 +58,6 @@ struct FrequencyTable {
 
   size_t total() const;
 };
-
-Result<FrequencyTable> BuildFrequencyTable(const Relation& relation,
-                                           size_t attribute);
-
-/// Shannon entropy (bits) of the empirical value distribution of a
-/// column (non-null values). 0 for constant or empty columns.
-Result<double> ColumnEntropy(const Relation& relation, size_t attribute);
 
 }  // namespace metaleak
 

@@ -39,30 +39,9 @@ size_t ComputeMaxFanout(PliCache* cache, AttributeSet lhs, size_t rhs) {
 
 namespace {
 
-// Non-null (lhs, rhs) pairs sorted by lhs (then rhs for determinism).
-std::vector<std::pair<Value, Value>> SortedPairs(const Relation& relation,
-                                                 size_t lhs, size_t rhs) {
-  std::vector<std::pair<Value, Value>> pairs;
-  pairs.reserve(relation.num_rows());
-  const std::vector<Value>& x = relation.column(lhs);
-  const std::vector<Value>& y = relation.column(rhs);
-  for (size_t r = 0; r < relation.num_rows(); ++r) {
-    if (x[r].is_null() || y[r].is_null()) continue;
-    pairs.emplace_back(x[r], y[r]);
-  }
-  std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second < b.second;
-  });
-  return pairs;
-}
-
-bool ValueEq(const Value& a, const Value& b) { return a == b; }
-bool ValueLt(const Value& a, const Value& b) { return a < b; }
-
 // Non-null (lhs, rhs) code pairs packed as (lhs << 32 | rhs), sorted.
-// Codes are order-preserving per column, so sorting the packed pairs is
-// the sort-by-(lhs, rhs) the Value path performs — on plain integers.
+// Codes are order-preserving per column, so sorting the packed pairs
+// sorts the rows by (lhs, rhs) value — on plain integers.
 std::vector<uint64_t> SortedCodePairs(const EncodedRelation& relation,
                                       size_t lhs, size_t rhs) {
   const size_t n = relation.num_rows();
@@ -84,39 +63,6 @@ std::vector<uint64_t> SortedCodePairs(const EncodedRelation& relation,
 }
 
 }  // namespace
-
-bool ValidateOd(const Relation& relation, size_t lhs, size_t rhs) {
-  std::vector<std::pair<Value, Value>> pairs =
-      SortedPairs(relation, lhs, rhs);
-  for (size_t i = 1; i < pairs.size(); ++i) {
-    const auto& prev = pairs[i - 1];
-    const auto& cur = pairs[i];
-    if (ValueEq(prev.first, cur.first)) {
-      // lhs tie: both directions of the implication force rhs equality.
-      if (!ValueEq(prev.second, cur.second)) return false;
-    } else {
-      // lhs strictly increased: rhs must not decrease.
-      if (ValueLt(cur.second, prev.second)) return false;
-    }
-  }
-  return true;
-}
-
-bool ValidateOfd(const Relation& relation, size_t lhs, size_t rhs) {
-  std::vector<std::pair<Value, Value>> pairs =
-      SortedPairs(relation, lhs, rhs);
-  for (size_t i = 1; i < pairs.size(); ++i) {
-    const auto& prev = pairs[i - 1];
-    const auto& cur = pairs[i];
-    if (ValueEq(prev.first, cur.first)) {
-      if (!ValueEq(prev.second, cur.second)) return false;  // FD part
-    } else {
-      // Strict order preservation.
-      if (!ValueLt(prev.second, cur.second)) return false;
-    }
-  }
-  return true;
-}
 
 namespace {
 
@@ -321,29 +267,22 @@ double MinimalDeltaOverPoints(std::vector<std::pair<double, double>> pts,
       [](double a, double b) { return std::max(a, b); });
 }
 
-}  // namespace
-
-Result<double> ComputeMinimalDelta(const Relation& relation, size_t lhs,
-                                   size_t rhs, double eps) {
-  if (lhs >= relation.num_columns() || rhs >= relation.num_columns()) {
-    return Status::OutOfRange("attribute index out of range");
+// Each distinct value of column `col` decoded to a double once, indexed
+// by code. NaN marks NULL and non-numeric entries: no real cell is NaN
+// (Relation rejects NaN cells), so NaN here always means "not a number".
+std::vector<double> NumericTable(const EncodedRelation& relation,
+                                 size_t col) {
+  const ColumnDictionary& dict = relation.dictionary(col);
+  std::vector<double> table(dict.num_codes(),
+                            std::numeric_limits<double>::quiet_NaN());
+  for (uint32_t code = 1; code < dict.num_codes(); ++code) {
+    const Value& v = dict.decode(code);
+    if (v.is_numeric()) table[code] = v.AsNumeric();
   }
-  if (eps < 0.0) {
-    return Status::Invalid("differential epsilon must be non-negative");
-  }
-  std::vector<std::pair<double, double>> pts;
-  const std::vector<Value>& x = relation.column(lhs);
-  const std::vector<Value>& y = relation.column(rhs);
-  for (size_t r = 0; r < relation.num_rows(); ++r) {
-    if (x[r].is_null() || y[r].is_null()) continue;
-    if (!x[r].is_numeric() || !y[r].is_numeric()) {
-      return Status::TypeError(
-          "differential dependencies require numeric attributes");
-    }
-    pts.emplace_back(x[r].AsNumeric(), y[r].AsNumeric());
-  }
-  return MinimalDeltaOverPoints(std::move(pts), eps);
+  return table;
 }
+
+}  // namespace
 
 Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
                                    size_t lhs, size_t rhs, double eps) {
@@ -353,22 +292,11 @@ Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
   if (eps < 0.0) {
     return Status::Invalid("differential epsilon must be non-negative");
   }
-  // Decode each distinct value to a double once; the row scan then runs
-  // on the small per-column lookup tables. NaN marks non-numeric entries
-  // so the type error matches the Value path (raised only when such a
-  // value occurs in a row whose partner is non-null).
-  auto numeric_table = [&](size_t col) {
-    const ColumnDictionary& dict = relation.dictionary(col);
-    std::vector<double> table(dict.num_codes(),
-                              std::numeric_limits<double>::quiet_NaN());
-    for (uint32_t code = 1; code < dict.num_codes(); ++code) {
-      const Value& v = dict.decode(code);
-      if (v.is_numeric()) table[code] = v.AsNumeric();
-    }
-    return table;
-  };
-  const std::vector<double> xt = numeric_table(lhs);
-  const std::vector<double> yt = numeric_table(rhs);
+  // The row scan runs on the small per-column lookup tables; the type
+  // error is raised only when a non-numeric value occurs in a row whose
+  // partner is non-null.
+  const std::vector<double> xt = NumericTable(relation, lhs);
+  const std::vector<double> yt = NumericTable(relation, rhs);
   const size_t n = relation.num_rows();
   std::vector<std::pair<double, double>> pts;
   pts.reserve(n);
@@ -418,16 +346,6 @@ Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
       return Status::Invalid("differential epsilon must be non-negative");
     }
   }
-  auto numeric_table = [&](size_t col) {
-    const ColumnDictionary& dict = relation.dictionary(col);
-    std::vector<double> table(dict.num_codes(),
-                              std::numeric_limits<double>::quiet_NaN());
-    for (uint32_t code = 1; code < dict.num_codes(); ++code) {
-      const Value& v = dict.decode(code);
-      if (v.is_numeric()) table[code] = v.AsNumeric();
-    }
-    return table;
-  };
   // Qualifying rows flattened as (lhs numerics..., rhs numeric). A tuple
   // pair is in the conjunctive window when every lhs coordinate differs
   // by at most its eps; the minimal delta is the largest rhs gap over
@@ -436,10 +354,10 @@ Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
   std::vector<std::vector<double>> tables;
   std::vector<CodeColumnView> cols;
   for (size_t a : xs) {
-    tables.push_back(numeric_table(a));
+    tables.push_back(NumericTable(relation, a));
     cols.push_back(relation.column_view(a));
   }
-  tables.push_back(numeric_table(rhs));
+  tables.push_back(NumericTable(relation, rhs));
   cols.push_back(relation.column_view(rhs));
   std::vector<double> flat;
   for (size_t r = 0; r < relation.num_rows(); ++r) {

@@ -37,12 +37,8 @@ size_t ComputeMaxFanout(PliCache* cache, AttributeSet lhs, size_t rhs);
 
 /// True iff the order dependency lhs -> rhs holds: for all tuples t, u,
 /// t[lhs] <= u[lhs] implies t[rhs] <= u[rhs]. Note this entails equal rhs
-/// values on lhs ties, i.e. OD implies FD on the non-null rows.
-/// Legacy `Value` path, agreement-tested against the encoded overload.
-bool ValidateOd(const Relation& relation, size_t lhs, size_t rhs);
-
-/// OD check on the dictionary-encoded view: codes are order-preserving,
-/// so the whole scan runs on packed uint32 pairs.
+/// values on lhs ties, i.e. OD implies FD on the non-null rows. Codes are
+/// order-preserving, so the whole scan runs on packed code pairs.
 bool ValidateOd(const EncodedRelation& relation, size_t lhs, size_t rhs);
 
 /// Multi-attribute OD: the LHS orders rows lexicographically by the
@@ -53,10 +49,6 @@ bool ValidateOd(const EncodedRelation& relation, AttributeSet lhs,
 
 /// True iff the ordered functional dependency holds: the FD plus strict
 /// order preservation (t[lhs] < u[lhs] implies t[rhs] < u[rhs]).
-/// Legacy `Value` path, agreement-tested against the encoded overload.
-bool ValidateOfd(const Relation& relation, size_t lhs, size_t rhs);
-
-/// OFD check on the encoded view (see the OD overload).
 bool ValidateOfd(const EncodedRelation& relation, size_t lhs, size_t rhs);
 
 /// Multi-attribute OFD under the same lexicographic LHS order as the OD
@@ -67,12 +59,8 @@ bool ValidateOfd(const EncodedRelation& relation, AttributeSet lhs,
 /// Minimal delta such that the differential dependency
 /// |t[lhs]-u[lhs]| <= eps  =>  |t[rhs]-u[rhs]| <= delta holds over all
 /// tuple pairs. Both attributes must be numeric; fails otherwise.
-/// Returns 0 when fewer than two non-null rows exist.
-Result<double> ComputeMinimalDelta(const Relation& relation, size_t lhs,
-                                   size_t rhs, double eps);
-
-/// Minimal delta on the encoded view: numeric decoding happens once per
-/// distinct value (dictionary lookup) instead of once per row.
+/// Returns 0 when fewer than two non-null rows exist. Numeric decoding
+/// happens once per distinct value (dictionary lookup), not once per row.
 Result<double> ComputeMinimalDelta(const EncodedRelation& relation,
                                    size_t lhs, size_t rhs, double eps);
 

@@ -35,22 +35,6 @@ Result<ValueDistribution> ValueDistribution::Continuous(
   return d;
 }
 
-Result<ValueDistribution> ValueDistribution::FromColumn(
-    const Relation& relation, size_t attribute, size_t buckets) {
-  if (attribute >= relation.num_columns()) {
-    return Status::OutOfRange("attribute index out of range");
-  }
-  if (relation.schema().attribute(attribute).semantic ==
-      SemanticType::kCategorical) {
-    METALEAK_ASSIGN_OR_RETURN(FrequencyTable table,
-                              BuildFrequencyTable(relation, attribute));
-    return Categorical(std::move(table));
-  }
-  METALEAK_ASSIGN_OR_RETURN(Histogram hist,
-                            BuildHistogram(relation, attribute, buckets));
-  return Continuous(std::move(hist));
-}
-
 Result<ValueDistribution> ValueDistribution::FromEncoded(
     const EncodedRelation& relation, size_t attribute, size_t buckets) {
   if (attribute >= relation.num_columns()) {

@@ -15,7 +15,6 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "data/encoded_relation.h"
-#include "data/relation.h"
 #include "data/statistics.h"
 #include "data/value.h"
 
@@ -32,15 +31,11 @@ class ValueDistribution {
   static Result<ValueDistribution> Continuous(Histogram histogram);
 
   /// Builds the marginal of one attribute: a frequency table for
-  /// categorical attributes, a `buckets`-bin histogram for continuous
-  /// ones.
-  static Result<ValueDistribution> FromColumn(const Relation& relation,
-                                              size_t attribute,
-                                              size_t buckets = 16);
-
-  /// Same marginal, read straight off the dictionary encoding: the
-  /// dictionary already holds each distinct value with its frequency in
-  /// Value total order, so no column re-scan is needed.
+  /// categorical attributes, a `buckets`-bin equi-width histogram over
+  /// the non-null numeric values for continuous ones (fails when there
+  /// are none or buckets == 0). Read straight off the dictionary
+  /// encoding: the dictionary already holds each distinct value with its
+  /// frequency in Value total order, so no column re-scan is needed.
   static Result<ValueDistribution> FromEncoded(
       const EncodedRelation& relation, size_t attribute,
       size_t buckets = 16);

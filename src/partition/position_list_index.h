@@ -44,8 +44,6 @@
 #include "common/simd.h"
 #include "data/code_column.h"
 #include "data/encoded_relation.h"
-#include "data/relation.h"
-#include "data/value.h"
 
 namespace metaleak {
 
@@ -67,8 +65,8 @@ class PositionListIndex {
   /// outside scope and DCHECK-guarded in every builder).
   using Row = uint32_t;
 
-  /// Legacy nested-cluster spelling, kept for the Value-path builders and
-  /// the agreement tests' canonical form.
+  /// One cluster as a plain row list: the element type of
+  /// ToNestedClusters, the canonical form tests compare partitions in.
   using Cluster = std::vector<size_t>;
 
   /// One cluster as a span over the CSR arena. Cheap to copy; iterates
@@ -129,16 +127,6 @@ class PositionListIndex {
     explicit ClusterList(const PositionListIndex* pli) : pli_(pli) {}
     const PositionListIndex* pli_;
   };
-
-  /// Builds the PLI of a single column. O(N) expected via hashing.
-  /// This is the legacy `Value` path; the dictionary-encoded builders
-  /// below are the hot path (and agreement-tested against this one).
-  static PositionListIndex FromColumn(const std::vector<Value>& column);
-
-  /// Builds the PLI of a set of columns of `relation` (equality on the
-  /// whole tuple projection). Legacy `Value` path, see FromColumn.
-  static PositionListIndex FromColumns(const Relation& relation,
-                                       const std::vector<size_t>& columns);
 
   /// Builds the PLI of one dictionary-encoded column by counting-style
   /// grouping over the dense codes: two O(N) passes, no hashing, and the
@@ -276,11 +264,6 @@ class PositionListIndex {
 
   PositionListIndex(std::vector<Row> rows, std::vector<uint32_t> offsets,
                     size_t num_rows);
-
-  /// Adapter for the legacy Value-path builders: flattens nested clusters
-  /// into the CSR arena, preserving cluster and row order.
-  static PositionListIndex FromNested(const std::vector<Cluster>& clusters,
-                                      size_t num_rows);
 
   std::vector<Row> rows_;         // concatenated cluster members
   std::vector<uint32_t> offsets_; // cluster c = rows_[offsets_[c]..offsets_[c+1])

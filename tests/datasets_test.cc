@@ -116,10 +116,11 @@ TEST(EchocardiogramTest, PlantedOdsHold) {
   auto idx = [&](const char* name) {
     return *r.schema().IndexOf(name);
   };
-  EXPECT_TRUE(ValidateOd(r, idx("epss"), idx("lvdd")));
+  EncodedRelation encoded = EncodedRelation::Encode(r);
+  EXPECT_TRUE(ValidateOd(encoded, idx("epss"), idx("lvdd")));
   EXPECT_TRUE(
-      ValidateOd(r, idx("wall_motion_score"), idx("wall_motion_index")));
-  EXPECT_TRUE(ValidateOd(r, idx("survival"), idx("alive_at_1")));
+      ValidateOd(encoded, idx("wall_motion_score"), idx("wall_motion_index")));
+  EXPECT_TRUE(ValidateOd(encoded, idx("survival"), idx("alive_at_1")));
 }
 
 TEST(EchocardiogramTest, AllDependencyClassesDiscoverable) {
@@ -172,7 +173,7 @@ TEST(FintechTest, PlantedStructureHolds) {
   size_t spend = *s.ecommerce.schema().IndexOf("total_spend");
   PliCache ecom_cache(&s.ecommerce);
   EXPECT_TRUE(ValidateFd(&ecom_cache, AttributeSet::Single(orders), spend));
-  EXPECT_TRUE(ValidateOd(s.ecommerce, orders, spend));
+  EXPECT_TRUE(ValidateOd(EncodedRelation::Encode(s.ecommerce), orders, spend));
 }
 
 TEST(FintechTest, LabelHasBothClasses) {
@@ -219,7 +220,7 @@ TEST(SyntheticTest, PlantsFdAndOd) {
   ASSERT_TRUE(r.ok());
   PliCache cache(&*r);
   EXPECT_TRUE(ValidateFd(&cache, AttributeSet::Single(0), 1));
-  EXPECT_TRUE(ValidateOd(*r, 0, 1));
+  EXPECT_TRUE(ValidateOd(EncodedRelation::Encode(*r), 0, 1));
 }
 
 TEST(SyntheticTest, PlantsBoundedFanout) {

@@ -12,6 +12,7 @@
 #include "discovery/rfd_discovery.h"
 #include "discovery/tane.h"
 #include "discovery/validators.h"
+#include "value_reference.h"
 
 namespace metaleak {
 namespace {
@@ -61,25 +62,26 @@ TEST(ValidatorsTest, ValidateFd) {
 TEST(ValidatorsTest, ValidateOdMonotonePasses) {
   Relation r = MakeRelation({Cont("x"), Cont("y")},
                             {Reals({1, 3, 2, 4}), Reals({10, 30, 20, 40})});
-  EXPECT_TRUE(ValidateOd(r, 0, 1));
-  EXPECT_TRUE(ValidateOd(r, 1, 0));
+  EncodedRelation encoded = EncodedRelation::Encode(r);
+  EXPECT_TRUE(ValidateOd(encoded, 0, 1));
+  EXPECT_TRUE(ValidateOd(encoded, 1, 0));
 }
 
 TEST(ValidatorsTest, ValidateOdRejectsInversion) {
   Relation r = MakeRelation({Cont("x"), Cont("y")},
                             {Reals({1, 2, 3}), Reals({10, 30, 20})});
-  EXPECT_FALSE(ValidateOd(r, 0, 1));
+  EXPECT_FALSE(ValidateOd(EncodedRelation::Encode(r), 0, 1));
 }
 
 TEST(ValidatorsTest, ValidateOdTiesRequireEqualRhs) {
   // x has a tie (2, 2) with different y values: OD must fail.
   Relation r = MakeRelation({Cont("x"), Cont("y")},
                             {Reals({1, 2, 2}), Reals({10, 20, 21})});
-  EXPECT_FALSE(ValidateOd(r, 0, 1));
+  EXPECT_FALSE(ValidateOd(EncodedRelation::Encode(r), 0, 1));
   // Equal y on the tie: OD holds.
   Relation ok = MakeRelation({Cont("x"), Cont("y")},
                              {Reals({1, 2, 2}), Reals({10, 20, 20})});
-  EXPECT_TRUE(ValidateOd(ok, 0, 1));
+  EXPECT_TRUE(ValidateOd(EncodedRelation::Encode(ok), 0, 1));
 }
 
 TEST(ValidatorsTest, ValidateOdSkipsNulls) {
@@ -87,19 +89,19 @@ TEST(ValidatorsTest, ValidateOdSkipsNulls) {
       {Cont("x"), Cont("y")},
       {{Value::Real(1), Value::Null(), Value::Real(3)},
        {Value::Real(10), Value::Real(999), Value::Real(30)}});
-  EXPECT_TRUE(ValidateOd(r, 0, 1));
+  EXPECT_TRUE(ValidateOd(EncodedRelation::Encode(r), 0, 1));
 }
 
 TEST(ValidatorsTest, ValidateOfdRequiresStrictIncrease) {
   // Non-strict plateau: OD yes, OFD no.
   Relation plateau = MakeRelation({Cont("x"), Cont("y")},
                                   {Reals({1, 2, 3}), Reals({10, 10, 20})});
-  EXPECT_TRUE(ValidateOd(plateau, 0, 1));
-  EXPECT_FALSE(ValidateOfd(plateau, 0, 1));
+  EXPECT_TRUE(ValidateOd(EncodedRelation::Encode(plateau), 0, 1));
+  EXPECT_FALSE(ValidateOfd(EncodedRelation::Encode(plateau), 0, 1));
 
   Relation strict = MakeRelation({Cont("x"), Cont("y")},
                                  {Reals({1, 2, 3}), Reals({10, 11, 20})});
-  EXPECT_TRUE(ValidateOfd(strict, 0, 1));
+  EXPECT_TRUE(ValidateOfd(EncodedRelation::Encode(strict), 0, 1));
 }
 
 TEST(ValidatorsTest, ComputeMinimalDeltaExamples) {
@@ -107,15 +109,16 @@ TEST(ValidatorsTest, ComputeMinimalDeltaExamples) {
   // between 1 and 5 is 4 > eps, so delta = |10-0| = 10.
   Relation r = MakeRelation({Cont("x"), Cont("y")},
                             {Reals({0, 1, 5}), Reals({0, 10, 11})});
-  auto d1 = ComputeMinimalDelta(r, 0, 1, 1.0);
+  EncodedRelation encoded = EncodedRelation::Encode(r);
+  auto d1 = ComputeMinimalDelta(encoded, 0, 1, 1.0);
   ASSERT_TRUE(d1.ok());
   EXPECT_DOUBLE_EQ(*d1, 10.0);
   // eps=5 adds the (1,5) and (0,5) pairs: delta = |11-0| = 11.
-  auto d5 = ComputeMinimalDelta(r, 0, 1, 5.0);
+  auto d5 = ComputeMinimalDelta(encoded, 0, 1, 5.0);
   ASSERT_TRUE(d5.ok());
   EXPECT_DOUBLE_EQ(*d5, 11.0);
   // eps=0: only exact x ties pair up; none here.
-  auto d0 = ComputeMinimalDelta(r, 0, 1, 0.0);
+  auto d0 = ComputeMinimalDelta(encoded, 0, 1, 0.0);
   ASSERT_TRUE(d0.ok());
   EXPECT_DOUBLE_EQ(*d0, 0.0);
 }
@@ -123,8 +126,9 @@ TEST(ValidatorsTest, ComputeMinimalDeltaExamples) {
 TEST(ValidatorsTest, ComputeMinimalDeltaRejectsBadInput) {
   Relation r = MakeRelation({Cat("x"), Cont("y")},
                             {Ints({1, 2}), Reals({1, 2})});
-  EXPECT_FALSE(ComputeMinimalDelta(r, 0, 1, -1.0).ok());
-  EXPECT_FALSE(ComputeMinimalDelta(r, 5, 1, 1.0).ok());
+  EncodedRelation encoded = EncodedRelation::Encode(r);
+  EXPECT_FALSE(ComputeMinimalDelta(encoded, 0, 1, -1.0).ok());
+  EXPECT_FALSE(ComputeMinimalDelta(encoded, 5, 1, 1.0).ok());
 }
 
 TEST(ValidatorsTest, ComputeMinimalDeltaBruteForceProperty) {
@@ -140,19 +144,11 @@ TEST(ValidatorsTest, ComputeMinimalDeltaBruteForceProperty) {
     }
     Relation r = MakeRelation({Cont("x"), Cont("y")}, {xs, ys});
     double eps = rng.UniformDouble(0.5, 20.0);
-    auto fast = ComputeMinimalDelta(r, 0, 1, eps);
+    auto fast = ComputeMinimalDelta(EncodedRelation::Encode(r), 0, 1, eps);
     ASSERT_TRUE(fast.ok());
-    double brute = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        double dx = std::abs(xs[i].AsDouble() - xs[j].AsDouble());
-        if (dx <= eps) {
-          brute = std::max(brute,
-                           std::abs(ys[i].AsDouble() - ys[j].AsDouble()));
-        }
-      }
-    }
-    EXPECT_NEAR(*fast, brute, 1e-9) << "trial " << trial;
+    auto brute = reference::MinimalDelta(r, {0}, {eps}, 1);
+    ASSERT_TRUE(brute.ok());
+    EXPECT_EQ(*fast, *brute) << "trial " << trial;
   }
 }
 

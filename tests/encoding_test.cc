@@ -1,21 +1,21 @@
 // Tests for the dictionary-encoding layer (EncodedRelation) and for the
-// agreement between the legacy Value paths and the code paths built on
-// top of the encoding: PLI construction, order-dependency validation,
-// minimal-delta computation and full FD discovery must produce identical
-// results on both representations.
+// profile primitives built on top of it: PLI construction, OD/OFD
+// validation, the minimal DD delta and the value distributions must match
+// their definitions, computed on boxed Values by tests/value_reference,
+// at 1 and 8 threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/employee.h"
 #include "data/datasets/synthetic.h"
 #include "data/domain.h"
 #include "data/encoded_relation.h"
 #include "data/relation.h"
-#include "data/statistics.h"
 #include "discovery/discovery_engine.h"
 #include "discovery/tane.h"
 #include "discovery/validators.h"
@@ -23,6 +23,7 @@
 #include "partition/pli_cache.h"
 #include "partition/position_list_index.h"
 #include "privacy/identifiability.h"
+#include "value_reference.h"
 
 namespace metaleak {
 namespace {
@@ -52,13 +53,30 @@ Relation Synthetic50(uint64_t seed) {
       .ValueOrDie();
 }
 
-// Canonical cluster form: clusters sorted, rows within already ascending
-// for the code path and made ascending here for the hash path.
+// Canonical cluster form, as reference::StrippedPartition returns it:
+// rows ascending within a cluster (as stored), clusters sorted.
 std::vector<std::vector<size_t>> Canonical(const PositionListIndex& pli) {
   std::vector<std::vector<size_t>> out = pli.ToNestedClusters();
-  for (auto& c : out) std::sort(c.begin(), c.end());
   std::sort(out.begin(), out.end());
   return out;
+}
+
+// The four agreement inputs: NULLs and all three types, the two paper
+// datasets, and a random relation.
+std::vector<Relation> AgreementInputs() {
+  return {TestRelation(), datasets::Employee(), datasets::Echocardiogram(),
+          Synthetic50(13)};
+}
+
+// Runs `body` at 1 and then at 8 pool threads.
+template <typename Body>
+void AtOneAndEightThreads(Body body) {
+  for (size_t threads : {1, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SetGlobalThreadCount(threads);
+    body();
+  }
+  SetGlobalThreadCount(0);
 }
 
 std::vector<std::string> DependencyStrings(const DependencySet& deps,
@@ -151,16 +169,16 @@ TEST(EncodedRelationTest, CodesAreOrderPreservingOnNumericColumns) {
 }
 
 TEST(EncodedRelationTest, DictionaryMatchesFrequencyTable) {
-  Relation rel = datasets::Employee();
-  EncodedRelation encoded = EncodedRelation::Encode(rel);
-  for (size_t c = 0; c < rel.num_columns(); ++c) {
-    auto table = BuildFrequencyTable(rel, c);
-    ASSERT_TRUE(table.ok());
-    const ColumnDictionary& dict = encoded.dictionary(c);
-    ASSERT_EQ(table->values.size(), dict.num_distinct());
-    EXPECT_EQ(table->values, dict.DistinctValues());
-    for (uint32_t code = 1; code < dict.num_codes(); ++code) {
-      EXPECT_EQ(table->counts[code - 1], dict.count(code));
+  for (const Relation& rel : AgreementInputs()) {
+    EncodedRelation encoded = EncodedRelation::Encode(rel);
+    for (size_t c = 0; c < rel.num_columns(); ++c) {
+      FrequencyTable table = reference::FrequencyTableOf(rel, c);
+      const ColumnDictionary& dict = encoded.dictionary(c);
+      ASSERT_EQ(table.values.size(), dict.num_distinct());
+      EXPECT_EQ(table.values, dict.DistinctValues());
+      for (uint32_t code = 1; code < dict.num_codes(); ++code) {
+        EXPECT_EQ(table.counts[code - 1], dict.count(code));
+      }
     }
   }
 }
@@ -189,82 +207,86 @@ TEST(EncodedRelationTest, FingerprintIsStableAndContentSensitive) {
 }
 
 TEST(EncodedRelationTest, DistributionsMatchValuePath) {
-  Relation rel = Synthetic50(11);
-  EncodedRelation encoded = EncodedRelation::Encode(rel);
-  for (size_t c = 0; c < rel.num_columns(); ++c) {
-    auto value_path = ValueDistribution::FromColumn(rel, c, 8);
-    auto code_path = ValueDistribution::FromEncoded(encoded, c, 8);
-    ASSERT_TRUE(value_path.ok());
-    ASSERT_TRUE(code_path.ok());
-    EXPECT_TRUE(*value_path == *code_path);
+  for (const Relation& rel : AgreementInputs()) {
+    EncodedRelation encoded = EncodedRelation::Encode(rel);
+    for (size_t c = 0; c < rel.num_columns(); ++c) {
+      auto code_path = ValueDistribution::FromEncoded(encoded, c, 8);
+      auto expected = reference::DistributionOf(rel, c, 8);
+      ASSERT_EQ(code_path.ok(), expected.ok()) << "attr " << c;
+      if (expected.ok()) {
+        EXPECT_TRUE(*code_path == *expected) << "attr " << c;
+      }
+    }
   }
 }
 
-// --- Value-path vs code-path agreement ---------------------------------------
+// --- Code path vs the definitions --------------------------------------------
 
 TEST(EncodingAgreementTest, SingleColumnPlisAgree) {
-  for (const Relation& rel :
-       {TestRelation(), datasets::Employee(), datasets::Echocardiogram(),
-        Synthetic50(13)}) {
+  for (const Relation& rel : AgreementInputs()) {
     EncodedRelation encoded = EncodedRelation::Encode(rel);
-    for (size_t c = 0; c < rel.num_columns(); ++c) {
-      PositionListIndex value_path =
-          PositionListIndex::FromColumn(rel.column(c));
-      PositionListIndex code_path = PositionListIndex::FromCodes(
-          encoded.column(c).ToU32(), encoded.dictionary(c).num_codes());
-      EXPECT_EQ(Canonical(value_path), Canonical(code_path));
-      EXPECT_EQ(value_path.num_rows(), code_path.num_rows());
-    }
+    AtOneAndEightThreads([&] {
+      for (size_t c = 0; c < rel.num_columns(); ++c) {
+        PositionListIndex code_path = PositionListIndex::FromCodes(
+            encoded.column(c).ToU32(), encoded.dictionary(c).num_codes());
+        EXPECT_EQ(Canonical(code_path),
+                  reference::StrippedPartition(rel, {c}));
+        EXPECT_EQ(code_path.num_rows(), rel.num_rows());
+      }
+    });
   }
 }
 
 TEST(EncodingAgreementTest, MultiColumnPlisAgree) {
-  for (const Relation& rel :
-       {TestRelation(), datasets::Employee(), Synthetic50(17)}) {
+  for (const Relation& rel : AgreementInputs()) {
     EncodedRelation encoded = EncodedRelation::Encode(rel);
-    for (size_t a = 0; a < rel.num_columns(); ++a) {
-      for (size_t b = a + 1; b < rel.num_columns(); ++b) {
-        PositionListIndex value_path =
-            PositionListIndex::FromColumns(rel, {a, b});
-        PositionListIndex code_path =
-            PositionListIndex::FromEncoded(encoded, {a, b});
-        EXPECT_EQ(Canonical(value_path), Canonical(code_path));
+    AtOneAndEightThreads([&] {
+      for (size_t a = 0; a < rel.num_columns(); ++a) {
+        for (size_t b = a + 1; b < rel.num_columns(); ++b) {
+          EXPECT_EQ(Canonical(PositionListIndex::FromEncoded(encoded, {a, b})),
+                    reference::StrippedPartition(rel, {a, b}))
+              << a << "," << b;
+        }
       }
-    }
+    });
   }
 }
 
 TEST(EncodingAgreementTest, OdAndOfdValidationAgrees) {
-  for (const Relation& rel :
-       {TestRelation(), datasets::Employee(), datasets::Echocardiogram(),
-        Synthetic50(19)}) {
+  for (const Relation& rel : AgreementInputs()) {
     EncodedRelation encoded = EncodedRelation::Encode(rel);
-    for (size_t x = 0; x < rel.num_columns(); ++x) {
-      for (size_t y = 0; y < rel.num_columns(); ++y) {
-        if (x == y) continue;
-        EXPECT_EQ(ValidateOd(rel, x, y), ValidateOd(encoded, x, y))
-            << "OD " << x << " -> " << y;
-        EXPECT_EQ(ValidateOfd(rel, x, y), ValidateOfd(encoded, x, y))
-            << "OFD " << x << " -> " << y;
+    AtOneAndEightThreads([&] {
+      for (size_t x = 0; x < rel.num_columns(); ++x) {
+        for (size_t y = 0; y < rel.num_columns(); ++y) {
+          if (x == y) continue;
+          EXPECT_EQ(ValidateOd(encoded, x, y),
+                    reference::OrderHolds(rel, {x}, y, /*strict=*/false))
+              << "OD " << x << " -> " << y;
+          EXPECT_EQ(ValidateOfd(encoded, x, y),
+                    reference::OrderHolds(rel, {x}, y, /*strict=*/true))
+              << "OFD " << x << " -> " << y;
+        }
       }
-    }
+    });
   }
 }
 
 TEST(EncodingAgreementTest, MinimalDeltaAgrees) {
-  Relation rel = datasets::Echocardiogram();
-  EncodedRelation encoded = EncodedRelation::Encode(rel);
-  std::vector<size_t> continuous =
-      rel.schema().IndicesOf(SemanticType::kContinuous);
-  ASSERT_GE(continuous.size(), 2u);
-  for (size_t x : continuous) {
-    for (size_t y : continuous) {
-      if (x == y) continue;
-      auto value_path = ComputeMinimalDelta(rel, x, y, 2.0);
-      auto code_path = ComputeMinimalDelta(encoded, x, y, 2.0);
-      ASSERT_EQ(value_path.ok(), code_path.ok());
-      if (value_path.ok()) EXPECT_DOUBLE_EQ(*value_path, *code_path);
-    }
+  for (const Relation& rel : AgreementInputs()) {
+    EncodedRelation encoded = EncodedRelation::Encode(rel);
+    AtOneAndEightThreads([&] {
+      for (size_t x = 0; x < rel.num_columns(); ++x) {
+        for (size_t y = 0; y < rel.num_columns(); ++y) {
+          if (x == y) continue;
+          auto code_path = ComputeMinimalDelta(encoded, x, y, 2.0);
+          auto expected = reference::MinimalDelta(rel, {x}, {2.0}, y);
+          ASSERT_EQ(code_path.ok(), expected.ok()) << x << " -> " << y;
+          if (expected.ok()) {
+            EXPECT_EQ(*code_path, *expected) << x << " -> " << y;
+          }
+        }
+      }
+    });
   }
 }
 

@@ -219,7 +219,7 @@ TEST(ColumnGeneratorsTest, OdOutputSatisfiesOrderDependency) {
               {Domain::Continuous(0, 100), Domain::Continuous(-50, 50)},
               {Dependency::Od(0, 1)}),
       200, 11);
-  EXPECT_TRUE(ValidateOd(r, 0, 1));
+  EXPECT_TRUE(ValidateOd(EncodedRelation::Encode(r), 0, 1));
 }
 
 TEST(ColumnGeneratorsTest, OdWorksOntoCategoricalDomain) {
@@ -228,7 +228,7 @@ TEST(ColumnGeneratorsTest, OdWorksOntoCategoricalDomain) {
               {Domain::Continuous(0, 10), SmallCatDomain()},
               {Dependency::Od(0, 1)}),
       100, 12);
-  EXPECT_TRUE(ValidateOd(r, 0, 1));
+  EXPECT_TRUE(ValidateOd(EncodedRelation::Encode(r), 0, 1));
 }
 
 TEST(ColumnGeneratorsTest, OfdOutputSatisfiesStrictOrder) {
@@ -237,7 +237,7 @@ TEST(ColumnGeneratorsTest, OfdOutputSatisfiesStrictOrder) {
               {Domain::Continuous(0, 100), Domain::Continuous(0, 1)},
               {Dependency::Ofd(0, 1)}),
       150, 13);
-  EXPECT_TRUE(ValidateOfd(r, 0, 1));
+  EXPECT_TRUE(ValidateOfd(EncodedRelation::Encode(r), 0, 1));
 }
 
 TEST(ColumnGeneratorsTest, OfdCategoricalUsesDistinctValuesWhenPossible) {
@@ -250,7 +250,7 @@ TEST(ColumnGeneratorsTest, OfdCategoricalUsesDistinctValuesWhenPossible) {
       60, 14);
   std::unordered_set<Value> lhs(r.column(0).begin(), r.column(0).end());
   ASSERT_EQ(lhs.size(), 3u);
-  EXPECT_TRUE(ValidateOfd(r, 0, 1));
+  EXPECT_TRUE(ValidateOfd(EncodedRelation::Encode(r), 0, 1));
 }
 
 // --- DD generation -----------------------------------------------------------------

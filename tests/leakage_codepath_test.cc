@@ -342,9 +342,10 @@ TEST(LeakageCodepathTest, RejectsCrossTypeDomainMatch) {
 
 TEST(LeakageCodepathTest, RejectsNanInContinuousRealColumn) {
   // NaN is the scan's skip marker, so a NaN cell in a continuous real
-  // column could not be scored. The CSV loader reads "nan" as NULL, and
-  // Encode cannot order a hand-built NaN cell yet, so the case is built
-  // from encoded parts and run through the engine's encoding constructor.
+  // column could not be scored. No Relation holds a NaN cell (the CSV
+  // loader reads "nan" as NULL and Relation::Make rejects one), so the
+  // case is built from encoded parts and run through the engine's
+  // encoding constructor.
   auto pkg = MetadataPackage::Deserialize(
       "metaleak-metadata v1\nrows\t3\nattr\tx\tdouble\tcontinuous\n"
       "domain\t0\tcontinuous\t0\t1\n");

@@ -4,10 +4,12 @@
 #include <algorithm>
 
 #include "common/random.h"
+#include "data/encoded_relation.h"
 #include "data/relation.h"
 #include "partition/attribute_set.h"
 #include "partition/pli_cache.h"
 #include "partition/position_list_index.h"
+#include "value_reference.h"
 
 namespace metaleak {
 namespace {
@@ -53,16 +55,16 @@ TEST(AttributeSetTest, FullSet) {
 
 // --- PositionListIndex ----------------------------------------------------------
 
-std::vector<Value> Ints(std::initializer_list<int64_t> xs) {
-  std::vector<Value> out;
-  for (int64_t x : xs) out.push_back(Value::Int(x));
-  return out;
+// The PLI of a column given as dense codes (each code names one value).
+PositionListIndex Codes(std::initializer_list<uint32_t> codes) {
+  const std::vector<uint32_t> column(codes);
+  return PositionListIndex::FromCodes(
+      column, *std::max_element(column.begin(), column.end()) + 1);
 }
 
 TEST(PliTest, StripsSingletons) {
   // Values: 1 1 2 3 3 3 -> clusters {0,1}, {3,4,5}; 2 is stripped.
-  PositionListIndex pli =
-      PositionListIndex::FromColumn(Ints({1, 1, 2, 3, 3, 3}));
+  PositionListIndex pli = Codes({1, 1, 2, 3, 3, 3});
   EXPECT_EQ(pli.num_clusters(), 2u);
   EXPECT_EQ(pli.num_stripped_rows(), 5u);
   EXPECT_EQ(pli.num_rows(), 6u);
@@ -70,14 +72,17 @@ TEST(PliTest, StripsSingletons) {
 }
 
 TEST(PliTest, NullsClusterTogether) {
-  std::vector<Value> col = {Value::Null(), Value::Int(1), Value::Null()};
-  PositionListIndex pli = PositionListIndex::FromColumn(col);
+  Relation r = std::move(Relation::Make(
+      Schema({{"a", DataType::kInt64, SemanticType::kCategorical}}),
+      {{Value::Null(), Value::Int(1), Value::Null()}})).ValueOrDie();
+  PositionListIndex pli =
+      PositionListIndex::FromEncoded(EncodedRelation::Encode(r), {0});
   ASSERT_EQ(pli.num_clusters(), 1u);
   EXPECT_EQ(pli.clusters()[0].size(), 2u);
 }
 
 TEST(PliTest, AllUniqueYieldsNoClusters) {
-  PositionListIndex pli = PositionListIndex::FromColumn(Ints({1, 2, 3}));
+  PositionListIndex pli = Codes({1, 2, 3});
   EXPECT_EQ(pli.num_clusters(), 0u);
   EXPECT_EQ(pli.num_classes(), 3u);
 }
@@ -91,19 +96,17 @@ TEST(PliTest, IdentityHasOneCluster) {
 }
 
 TEST(PliTest, ProbeTableMarksSingletons) {
-  PositionListIndex pli =
-      PositionListIndex::FromColumn(Ints({1, 1, 2}));
+  PositionListIndex pli = Codes({1, 1, 2});
   const std::vector<int32_t>& probe = pli.probe_table();
   EXPECT_EQ(probe[0], probe[1]);
   EXPECT_EQ(probe[2], PositionListIndex::kUnique);
 }
 
 TEST(PliTest, IntersectMatchesProductPartition) {
-  // X: a a b b ; Y: 1 2 1 1  -> XY classes: (a,1) (a,2) (b,1) (b,1)
-  PositionListIndex x = PositionListIndex::FromColumn(
-      {Value::Str("a"), Value::Str("a"), Value::Str("b"), Value::Str("b")});
-  PositionListIndex y =
-      PositionListIndex::FromColumn(Ints({1, 2, 1, 1}));
+  // X: a a b b (codes 0 0 1 1); Y: 1 2 1 1
+  //   -> XY classes: (a,1) (a,2) (b,1) (b,1)
+  PositionListIndex x = Codes({0, 0, 1, 1});
+  PositionListIndex y = Codes({1, 2, 1, 1});
   PositionListIndex xy = x.Intersect(y);
   ASSERT_EQ(xy.num_clusters(), 1u);
   EXPECT_EQ(xy.cluster(0).ToVector(), (std::vector<size_t>{2, 3}));
@@ -111,61 +114,52 @@ TEST(PliTest, IntersectMatchesProductPartition) {
 
 TEST(PliTest, RefinesDetectsFd) {
   // X -> Y holds: equal X implies equal Y.
-  PositionListIndex x =
-      PositionListIndex::FromColumn(Ints({1, 1, 2, 2, 3}));
-  PositionListIndex y_good =
-      PositionListIndex::FromColumn(Ints({5, 5, 6, 6, 5}));
-  PositionListIndex y_bad =
-      PositionListIndex::FromColumn(Ints({5, 6, 6, 6, 5}));
+  PositionListIndex x = Codes({1, 1, 2, 2, 3});
+  PositionListIndex y_good = Codes({5, 5, 6, 6, 5});
+  PositionListIndex y_bad = Codes({5, 6, 6, 6, 5});
   EXPECT_TRUE(x.Refines(y_good));
   EXPECT_FALSE(x.Refines(y_bad));
 }
 
 TEST(PliTest, RefinesFailsWhenRhsSingletonSplitsCluster) {
   // X has cluster {0,1}; Y values 7, 8 are both unique -> violation.
-  PositionListIndex x = PositionListIndex::FromColumn(Ints({1, 1, 2}));
-  PositionListIndex y = PositionListIndex::FromColumn(Ints({7, 8, 9}));
+  PositionListIndex x = Codes({1, 1, 2});
+  PositionListIndex y = Codes({7, 8, 9});
   EXPECT_FALSE(x.Refines(y));
 }
 
 TEST(PliTest, G3ErrorCountsMinimumRemovals) {
   // X cluster {0,1,2} with Y values 5,5,6: one removal of three rows.
-  PositionListIndex x = PositionListIndex::FromColumn(Ints({1, 1, 1}));
-  PositionListIndex y = PositionListIndex::FromColumn(Ints({5, 5, 6}));
+  PositionListIndex x = Codes({1, 1, 1});
+  PositionListIndex y = Codes({5, 5, 6});
   EXPECT_NEAR(x.G3Error(y), 1.0 / 3.0, 1e-12);
   EXPECT_DOUBLE_EQ(x.G3Error(x), 0.0);
 }
 
 TEST(PliTest, G3ErrorZeroIffRefines) {
-  PositionListIndex x =
-      PositionListIndex::FromColumn(Ints({1, 1, 2, 2}));
-  PositionListIndex y =
-      PositionListIndex::FromColumn(Ints({3, 3, 4, 4}));
+  PositionListIndex x = Codes({1, 1, 2, 2});
+  PositionListIndex y = Codes({3, 3, 4, 4});
   EXPECT_TRUE(x.Refines(y));
   EXPECT_DOUBLE_EQ(x.G3Error(y), 0.0);
 }
 
 TEST(PliTest, G3ErrorWithAllUniqueRhs) {
   // Cluster of 3, every Y unique: keep one row, remove two.
-  PositionListIndex x = PositionListIndex::FromColumn(Ints({1, 1, 1}));
-  PositionListIndex y = PositionListIndex::FromColumn(Ints({7, 8, 9}));
+  PositionListIndex x = Codes({1, 1, 1});
+  PositionListIndex y = Codes({7, 8, 9});
   EXPECT_NEAR(x.G3Error(y), 2.0 / 3.0, 1e-12);
 }
 
 TEST(PliTest, MaxFanoutCountsDistinctRhsPerCluster) {
   // X=1 maps to {5,6,7}; X=2 maps to {5}; max fan-out 3.
-  PositionListIndex x =
-      PositionListIndex::FromColumn(Ints({1, 1, 1, 2, 2}));
-  PositionListIndex y =
-      PositionListIndex::FromColumn(Ints({5, 6, 7, 5, 5}));
+  PositionListIndex x = Codes({1, 1, 1, 2, 2});
+  PositionListIndex y = Codes({5, 6, 7, 5, 5});
   EXPECT_EQ(x.MaxFanout(y), 3u);
 }
 
 TEST(PliTest, MaxFanoutOneForFd) {
-  PositionListIndex x =
-      PositionListIndex::FromColumn(Ints({1, 1, 2, 2}));
-  PositionListIndex y =
-      PositionListIndex::FromColumn(Ints({5, 5, 6, 6}));
+  PositionListIndex x = Codes({1, 1, 2, 2});
+  PositionListIndex y = Codes({5, 5, 6, 6});
   EXPECT_EQ(x.MaxFanout(y), 1u);
 }
 
@@ -177,7 +171,8 @@ TEST(PliTest, FromColumnsProjectsTuples) {
       .AddRow({Value::Int(1), Value::Int(1)})
       .AddRow({Value::Int(1), Value::Int(2)});
   Relation r = std::move(builder.Finish()).ValueOrDie();
-  PositionListIndex ab = PositionListIndex::FromColumns(r, {0, 1});
+  PositionListIndex ab =
+      PositionListIndex::FromEncoded(EncodedRelation::Encode(r), {0, 1});
   ASSERT_EQ(ab.num_clusters(), 1u);
   EXPECT_EQ(ab.cluster(0).ToVector(), (std::vector<size_t>{0, 1}));
 }
@@ -221,8 +216,9 @@ TEST(PliCacheTest, EmptySetIsIdentity) {
   EXPECT_EQ(empty->num_stripped_rows(), 3u);
 }
 
-// Property: for random relations, Intersect(pli(X), pli(Y)) equals
-// FromColumns(X ∪ Y).
+// Property: for random relations, Intersect(pli(X), pli(Y)) and the
+// direct FromEncoded(X ∪ Y) both equal the partition of the projected
+// tuples, built from its definition.
 class PliPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PliPropertyTest, IntersectEqualsDirectConstruction) {
@@ -236,20 +232,21 @@ TEST_P(PliPropertyTest, IntersectEqualsDirectConstruction) {
     cols[1].push_back(Value::Int(rng.UniformInt(0, 4)));
   }
   Relation rel = std::move(Relation::Make(schema, cols)).ValueOrDie();
-  PositionListIndex a = PositionListIndex::FromColumn(rel.column(0));
-  PositionListIndex b = PositionListIndex::FromColumn(rel.column(1));
+  EncodedRelation encoded = EncodedRelation::Encode(rel);
+  PositionListIndex a = PositionListIndex::FromEncoded(encoded, {0});
+  PositionListIndex b = PositionListIndex::FromEncoded(encoded, {1});
   PositionListIndex via_intersect = a.Intersect(b);
-  PositionListIndex direct = PositionListIndex::FromColumns(rel, {0, 1});
-  EXPECT_EQ(via_intersect.num_clusters(), direct.num_clusters());
-  EXPECT_EQ(via_intersect.num_stripped_rows(), direct.num_stripped_rows());
+  PositionListIndex direct = PositionListIndex::FromEncoded(encoded, {0, 1});
   // Same partition as sets: compare sorted cluster contents.
   auto canonical = [](const PositionListIndex& pli) {
     std::vector<std::vector<size_t>> cs = pli.ToNestedClusters();
-    for (auto& c : cs) std::sort(c.begin(), c.end());
     std::sort(cs.begin(), cs.end());
     return cs;
   };
-  EXPECT_EQ(canonical(via_intersect), canonical(direct));
+  const std::vector<std::vector<size_t>> expected =
+      reference::StrippedPartition(rel, {0, 1});
+  EXPECT_EQ(canonical(via_intersect), expected);
+  EXPECT_EQ(canonical(direct), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PliPropertyTest,

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
+#include "common/parallel.h"
 #include "common/random.h"
 #include "data/datasets/synthetic.h"
 #include "data/domain.h"
@@ -16,6 +18,7 @@
 #include "privacy/experiment.h"
 #include "privacy/identifiability.h"
 #include "privacy/leakage.h"
+#include "value_reference.h"
 
 namespace metaleak {
 namespace {
@@ -27,41 +30,86 @@ Relation RandomRelation(Rng* rng, size_t rows, size_t cats, size_t conts,
       .ValueOrDie();
 }
 
-// --- OD/OFD validators vs. the O(n^2) definitional oracle -----------------
+// --- OD/OFD/DD validators vs. the O(n^2) definitional oracles -------------
 
 class OrderValidatorOracleTest : public ::testing::TestWithParam<uint64_t> {
 };
 
+// A column over a 4-value domain of `type` (so ties and both verdicts
+// occur) with about one NULL in six cells.
+std::vector<Value> RandomOrderColumn(Rng* rng, DataType type, size_t rows) {
+  std::vector<Value> out;
+  for (size_t r = 0; r < rows; ++r) {
+    const int64_t k = rng->UniformInt(0, 3);
+    if (rng->UniformIndex(6) == 0) {
+      out.push_back(Value::Null());
+    } else if (type == DataType::kInt64) {
+      out.push_back(Value::Int(k));
+    } else if (type == DataType::kDouble) {
+      out.push_back(Value::Real(0.5 * static_cast<double>(k)));
+    } else {
+      out.push_back(Value::Str(std::string(1, static_cast<char>('a' + k))));
+    }
+  }
+  return out;
+}
+
 TEST_P(OrderValidatorOracleTest, MatchesDefinition) {
   Rng rng(GetParam());
-  // Small relations with tiny domains so both outcomes occur.
+  // Every single-attribute and 2-attribute LHS over int, double and string
+  // columns with NULLs: the single form is the sorted-pair kernel, the
+  // 2-attribute form the lexicographic tuple scan (OD/OFD) and the
+  // conjunctive eps-window (DD) of the AttributeSet overloads. Small
+  // relations, plus two of 150 rows so the DD pair scan splits into
+  // chunks.
+  Schema schema({{"i", DataType::kInt64, SemanticType::kContinuous},
+                 {"d", DataType::kDouble, SemanticType::kContinuous},
+                 {"s", DataType::kString, SemanticType::kCategorical},
+                 {"j", DataType::kInt64, SemanticType::kContinuous}});
+  const std::vector<double> eps_choices = {0.0, 0.5, 1.0, 2.0};
   for (int trial = 0; trial < 20; ++trial) {
-    size_t rows = 4 + rng.UniformIndex(8);
-    std::vector<Value> xs;
-    std::vector<Value> ys;
-    for (size_t i = 0; i < rows; ++i) {
-      xs.push_back(Value::Int(rng.UniformInt(0, 3)));
-      ys.push_back(Value::Int(rng.UniformInt(0, 3)));
+    const size_t rows = trial < 18 ? 4 + rng.UniformIndex(8) : 150;
+    std::vector<std::vector<Value>> cols;
+    for (const Attribute& a : schema.attributes()) {
+      cols.push_back(RandomOrderColumn(&rng, a.type, rows));
     }
-    Schema schema({{"x", DataType::kInt64, SemanticType::kContinuous},
-                   {"y", DataType::kInt64, SemanticType::kContinuous}});
-    Relation r = std::move(Relation::Make(schema, {xs, ys})).ValueOrDie();
-
-    bool oracle_od = true;
-    bool oracle_ofd = true;
-    for (size_t i = 0; i < rows; ++i) {
-      for (size_t j = 0; j < rows; ++j) {
-        int64_t xi = xs[i].AsInt();
-        int64_t xj = xs[j].AsInt();
-        int64_t yi = ys[i].AsInt();
-        int64_t yj = ys[j].AsInt();
-        if (xi <= xj && !(yi <= yj)) oracle_od = false;
-        if (xi == xj && yi != yj) oracle_ofd = false;
-        if (xi < xj && !(yi < yj)) oracle_ofd = false;
+    Relation r = std::move(Relation::Make(schema, cols)).ValueOrDie();
+    EncodedRelation encoded = EncodedRelation::Encode(r);
+    const std::vector<double> eps = {
+        eps_choices[rng.UniformIndex(eps_choices.size())],
+        eps_choices[rng.UniformIndex(eps_choices.size())]};
+    // The AttributeSet overloads take the single-attribute path when
+    // |lhs| == 1, so one check covers both forms.
+    auto check = [&](const std::vector<size_t>& lhs, size_t y) {
+      const AttributeSet set = AttributeSet::Of(lhs);
+      SCOPED_TRACE(set.ToString() + " -> " + std::to_string(y));
+      EXPECT_EQ(ValidateOd(encoded, set, y),
+                reference::OrderHolds(r, lhs, y, /*strict=*/false));
+      EXPECT_EQ(ValidateOfd(encoded, set, y),
+                reference::OrderHolds(r, lhs, y, /*strict=*/true));
+      const std::vector<double> window(eps.begin(), eps.begin() + lhs.size());
+      auto delta = ComputeMinimalDelta(encoded, set, window, y);
+      auto oracle = reference::MinimalDelta(r, lhs, window, y);
+      EXPECT_EQ(delta.ok(), oracle.ok());
+      if (delta.ok() && oracle.ok()) {
+        EXPECT_EQ(*delta, *oracle);
+      }
+    };
+    for (size_t threads : {1, 8}) {
+      SetGlobalThreadCount(threads);
+      SCOPED_TRACE("trial " + std::to_string(trial) + " threads " +
+                   std::to_string(threads));
+      for (size_t y = 0; y < r.num_columns(); ++y) {
+        for (size_t a = 0; a < r.num_columns(); ++a) {
+          if (a == y) continue;
+          check({a}, y);
+          for (size_t b = a + 1; b < r.num_columns(); ++b) {
+            if (b != y) check({a, b}, y);
+          }
+        }
       }
     }
-    EXPECT_EQ(ValidateOd(r, 0, 1), oracle_od) << "trial " << trial;
-    EXPECT_EQ(ValidateOfd(r, 0, 1), oracle_ofd) << "trial " << trial;
+    SetGlobalThreadCount(0);
   }
 }
 

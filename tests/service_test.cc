@@ -2,12 +2,14 @@
 // eviction, warm-audit parity with the one-shot RunAudit path, and
 // incremental batches matching a from-scratch registration.
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "data/csv_loader.h"
 #include "data/datasets/echocardiogram.h"
 #include "data/datasets/employee.h"
 #include "data/datasets/synthetic.h"
@@ -148,6 +150,36 @@ TEST(AuditServiceTest, EmptyBatchIsANoOp) {
   Result<std::shared_ptr<const RelationSnapshot>> after =
       service.Snapshot(*session);
   EXPECT_EQ(before->get(), after->get());
+}
+
+TEST(AuditServiceTest, NanInsertFailsAndKeepsTheSnapshot) {
+  Relation relation = std::move(LoadCsvRelation(
+                                    "id,x\n1,1.5\n2,2.5\n3,0.25\n4,3.5\n"))
+                          .ValueOrDie();
+  AuditService service;
+  Result<SessionId> session = service.Register(relation);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  Result<std::shared_ptr<const RelationSnapshot>> before =
+      service.Snapshot(*session);
+  ASSERT_TRUE(before.ok());
+
+  RowBatch batch;
+  batch.insert_rows = {
+      {Value::Int(5), Value::Real(std::numeric_limits<double>::quiet_NaN())}};
+  Result<LeakageDelta> delta = service.ApplyBatch(*session, batch);
+  ASSERT_FALSE(delta.ok());
+  EXPECT_TRUE(delta.status().IsInvalid());
+  EXPECT_NE(delta.status().message().find("NaN"), std::string::npos)
+      << delta.status().ToString();
+
+  Result<std::shared_ptr<const RelationSnapshot>> after =
+      service.Snapshot(*session);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ((*after)->fingerprint(), (*before)->fingerprint());
+  EXPECT_EQ(after->get(), before->get());
+  // The session still takes a valid batch afterwards.
+  batch.insert_rows = {{Value::Int(5), Value::Real(4.5)}};
+  EXPECT_TRUE(service.ApplyBatch(*session, batch).ok());
 }
 
 TEST(AuditServiceTest, UnknownSessionFails) {

@@ -174,6 +174,22 @@ TEST(SimdKernelTest, CountEqualF64NanNeverEqual) {
   }
 }
 
+// One whole scan into a zeroed EpsilonBallStats.
+EpsilonBallStats Ball(SimdLevel level, const double* real, const double* syn,
+                      size_t n, double eps) {
+  EpsilonBallStats stats;
+  EpsilonBallMseInto(level, real, syn, n, eps, &stats);
+  return stats;
+}
+
+EpsilonBallStats CodedBall(SimdLevel level, const double* real,
+                           const uint32_t* codes, const double* code_numeric,
+                           size_t n, double eps) {
+  EpsilonBallStats stats;
+  EpsilonBallMseCodedInto(level, real, codes, code_numeric, n, eps, &stats);
+  return stats;
+}
+
 TEST(SimdKernelTest, EpsilonBallMseSkipsRealNanOnly) {
   // Real NaN: the row is skipped entirely. Synthetic NaN: the row IS
   // compared, never matches, and poisons the sum — the reference scan's
@@ -182,7 +198,7 @@ TEST(SimdKernelTest, EpsilonBallMseSkipsRealNanOnly) {
   const std::vector<double> syn = {1.05, 2.0, kNaN, 4.2};
   for (SimdLevel level : SupportedLevels()) {
     const EpsilonBallStats s =
-        EpsilonBallMse(level, real.data(), syn.data(), real.size(), 0.1);
+        Ball(level, real.data(), syn.data(), real.size(), 0.1);
     EXPECT_EQ(s.compared, 3u) << SimdLevelName(level);
     EXPECT_EQ(s.matches, 1u) << SimdLevelName(level);
     EXPECT_TRUE(std::isnan(s.sum_squares)) << SimdLevelName(level);
@@ -199,11 +215,11 @@ TEST(SimdKernelTest, EpsilonBallMseFuzzBitwise) {
             rng.Bernoulli(0.15) ? kNaN : rng.UniformDouble(0.0, 10.0);
         syn[r] = rng.Bernoulli(0.1) ? kNaN : rng.UniformDouble(0.0, 10.0);
       }
-      const EpsilonBallStats expect = EpsilonBallMse(
-          SimdLevel::kScalar, real.data(), syn.data(), n, 0.5);
+      const EpsilonBallStats expect =
+          Ball(SimdLevel::kScalar, real.data(), syn.data(), n, 0.5);
       for (SimdLevel level : SupportedLevels()) {
         const EpsilonBallStats got =
-            EpsilonBallMse(level, real.data(), syn.data(), n, 0.5);
+            Ball(level, real.data(), syn.data(), n, 0.5);
         EXPECT_EQ(got.matches, expect.matches);
         EXPECT_EQ(got.compared, expect.compared);
         EXPECT_TRUE(BitEqual(got.sum_squares, expect.sum_squares))
@@ -220,9 +236,9 @@ TEST(SimdKernelTest, EpsilonBallMseCodedSkipsEitherNan) {
   const std::vector<double> real = {1.04, kNaN, 2.0, 5.0};
   const std::vector<uint32_t> codes = {1, 1, 0, 2};
   for (SimdLevel level : SupportedLevels()) {
-    const EpsilonBallStats s =
-        EpsilonBallMseCoded(level, real.data(), codes.data(),
-                            code_numeric.data(), real.size(), 0.1);
+    const EpsilonBallStats s = CodedBall(level, real.data(), codes.data(),
+                                         code_numeric.data(), real.size(),
+                                         0.1);
     EXPECT_EQ(s.compared, 2u) << SimdLevelName(level);
     EXPECT_EQ(s.matches, 1u) << SimdLevelName(level);
     EXPECT_FALSE(std::isnan(s.sum_squares)) << SimdLevelName(level);
@@ -246,12 +262,11 @@ TEST(SimdKernelTest, EpsilonBallMseCodedFuzzBitwise) {
           static_cast<uint32_t>(rng.UniformIndex(code_numeric.size()));
     }
     const EpsilonBallStats expect =
-        EpsilonBallMseCoded(SimdLevel::kScalar, real.data(), codes.data(),
-                            code_numeric.data(), n, 0.4);
+        CodedBall(SimdLevel::kScalar, real.data(), codes.data(),
+                  code_numeric.data(), n, 0.4);
     for (SimdLevel level : SupportedLevels()) {
-      const EpsilonBallStats got =
-          EpsilonBallMseCoded(level, real.data(), codes.data(),
-                              code_numeric.data(), n, 0.4);
+      const EpsilonBallStats got = CodedBall(
+          level, real.data(), codes.data(), code_numeric.data(), n, 0.4);
       EXPECT_EQ(got.matches, expect.matches);
       EXPECT_EQ(got.compared, expect.compared);
       EXPECT_TRUE(BitEqual(got.sum_squares, expect.sum_squares))
@@ -468,11 +483,9 @@ TEST(SimdKernelTest, BitsetHelpers) {
   for (size_t row : {3u, 5u, 64u}) {
     other[row >> 6] |= uint64_t{1} << (row & 63);
   }
+  EXPECT_EQ(BitsetAndPopcount(in_cluster.data(), other.data(), words), 2u);
   std::vector<uint64_t> product(words);
-  EXPECT_EQ(
-      BitsetAndCount(product.data(), in_cluster.data(), other.data(),
-                     words),
-      2u);
+  for (size_t w = 0; w < words; ++w) product[w] = in_cluster[w] & other[w];
   std::vector<size_t> rows;
   BitsetForEach(product.data(), words,
                 [&](size_t row) { rows.push_back(row); });

@@ -5,6 +5,7 @@
 
 #include "common/random.h"
 #include "data/datasets/echocardiogram.h"
+#include "data/encoded_relation.h"
 #include "data/statistics.h"
 #include "metadata/value_distribution.h"
 
@@ -28,6 +29,14 @@ Relation NumericRelation(std::initializer_list<double> xs) {
   std::vector<Value> col;
   for (double x : xs) col.push_back(Value::Real(x));
   return MakeRelation({Cont("x")}, {col});
+}
+
+// The disclosed marginal of attribute 0: a histogram for continuous
+// columns, a frequency table for categorical ones.
+Result<ValueDistribution> Distribution(const Relation& r,
+                                       size_t buckets = 16) {
+  return ValueDistribution::FromEncoded(EncodedRelation::Encode(r), 0,
+                                        buckets);
 }
 
 // --- ColumnStats ---------------------------------------------------------------
@@ -65,32 +74,35 @@ TEST(ColumnStatsTest, OutOfRangeFails) {
 
 TEST(HistogramTest, BucketsCoverRange) {
   Relation r = NumericRelation({0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
-  auto h = BuildHistogram(r, 0, 5);
-  ASSERT_TRUE(h.ok());
-  EXPECT_DOUBLE_EQ(h->lo, 0.0);
-  EXPECT_DOUBLE_EQ(h->hi, 9.0);
-  EXPECT_EQ(h->counts.size(), 5u);
-  EXPECT_EQ(h->total(), 10u);
+  auto dist = Distribution(r, 5);
+  ASSERT_TRUE(dist.ok());
+  const Histogram& h = dist->histogram();
+  EXPECT_DOUBLE_EQ(h.lo, 0.0);
+  EXPECT_DOUBLE_EQ(h.hi, 9.0);
+  EXPECT_EQ(h.counts.size(), 5u);
+  EXPECT_EQ(h.total(), 10u);
   // The max lands in the last bucket (closed at hi).
-  EXPECT_EQ(h->BucketOf(9.0), 4u);
-  EXPECT_EQ(h->BucketOf(-100.0), 0u);
-  EXPECT_EQ(h->BucketOf(100.0), 4u);
+  EXPECT_EQ(h.BucketOf(9.0), 4u);
+  EXPECT_EQ(h.BucketOf(-100.0), 0u);
+  EXPECT_EQ(h.BucketOf(100.0), 4u);
 }
 
 TEST(HistogramTest, MassSumsToOne) {
   Relation r = NumericRelation({1, 2, 2, 3, 3, 3});
-  auto h = BuildHistogram(r, 0, 4);
-  ASSERT_TRUE(h.ok());
+  auto dist = Distribution(r, 4);
+  ASSERT_TRUE(dist.ok());
+  const Histogram& h = dist->histogram();
   double total = 0.0;
-  for (size_t i = 0; i < h->counts.size(); ++i) total += h->Mass(i);
+  for (size_t i = 0; i < h.counts.size(); ++i) total += h.Mass(i);
   EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
 TEST(HistogramTest, RejectsBadInput) {
   Relation r = NumericRelation({1.0});
-  EXPECT_FALSE(BuildHistogram(r, 0, 0).ok());
-  Relation s = MakeRelation({Cat("c")}, {{Value::Str("a")}});
-  EXPECT_FALSE(BuildHistogram(s, 0, 4).ok());
+  EXPECT_FALSE(Distribution(r, 0).ok());
+  // A continuous column with no numeric value has no histogram.
+  Relation s = MakeRelation({Cont("x")}, {{Value::Null(), Value::Null()}});
+  EXPECT_FALSE(Distribution(s, 4).ok());
 }
 
 // --- FrequencyTable / entropy ------------------------------------------------------
@@ -99,26 +111,28 @@ TEST(FrequencyTableTest, CountsAndOrder) {
   Relation r = MakeRelation(
       {Cat("c")}, {{Value::Str("b"), Value::Str("a"), Value::Str("b"),
                     Value::Null()}});
-  auto t = BuildFrequencyTable(r, 0);
-  ASSERT_TRUE(t.ok());
-  ASSERT_EQ(t->values.size(), 2u);
-  EXPECT_EQ(t->values[0], Value::Str("a"));  // Value order
-  EXPECT_EQ(t->counts[0], 1u);
-  EXPECT_EQ(t->counts[1], 2u);
-  EXPECT_EQ(t->total(), 3u);
+  auto dist = Distribution(r);
+  ASSERT_TRUE(dist.ok());
+  ASSERT_TRUE(dist->is_categorical());
+  const FrequencyTable& t = dist->frequency_table();
+  ASSERT_EQ(t.values.size(), 2u);
+  EXPECT_EQ(t.values[0], Value::Str("a"));  // Value order
+  EXPECT_EQ(t.counts[0], 1u);
+  EXPECT_EQ(t.counts[1], 2u);
+  EXPECT_EQ(t.total(), 3u);
 }
 
 TEST(EntropyTest, UniformAndConstant) {
   Relation uniform = MakeRelation(
       {Cat("c")}, {{Value::Str("a"), Value::Str("b"), Value::Str("c"),
                     Value::Str("d")}});
-  auto h = ColumnEntropy(uniform, 0);
+  auto h = Distribution(uniform);
   ASSERT_TRUE(h.ok());
-  EXPECT_NEAR(*h, 2.0, 1e-12);  // log2(4)
+  EXPECT_NEAR(h->EntropyBits(), 2.0, 1e-12);  // log2(4)
 
   Relation constant =
       MakeRelation({Cat("c")}, {{Value::Str("a"), Value::Str("a")}});
-  EXPECT_DOUBLE_EQ(*ColumnEntropy(constant, 0), 0.0);
+  EXPECT_DOUBLE_EQ(Distribution(constant)->EntropyBits(), 0.0);
 }
 
 // --- ValueDistribution ---------------------------------------------------------------
@@ -127,7 +141,7 @@ TEST(ValueDistributionTest, CategoricalSamplingFollowsFrequencies) {
   Relation r = MakeRelation(
       {Cat("c")}, {{Value::Str("a"), Value::Str("a"), Value::Str("a"),
                     Value::Str("b")}});
-  auto dist = ValueDistribution::FromColumn(r, 0);
+  auto dist = Distribution(r);
   ASSERT_TRUE(dist.ok());
   EXPECT_TRUE(dist->is_categorical());
   EXPECT_NEAR(dist->MassOf(Value::Str("a")), 0.75, 1e-12);
@@ -150,7 +164,7 @@ TEST(ValueDistributionTest, ContinuousSamplingFollowsHistogram) {
   col.push_back(Value::Real(0.0));
   col.push_back(Value::Real(10.0));
   Relation r = MakeRelation({Cont("x")}, {col});
-  auto dist = ValueDistribution::FromColumn(r, 0, 10);
+  auto dist = Distribution(r, 10);
   ASSERT_TRUE(dist.ok());
   EXPECT_FALSE(dist->is_categorical());
   Rng rng(2);
@@ -169,8 +183,9 @@ TEST(ValueDistributionTest, RejectsEmptyInputs) {
 
 TEST(ValueDistributionTest, EchocardiogramProfiles) {
   Relation r = datasets::Echocardiogram();
+  EncodedRelation encoded = EncodedRelation::Encode(r);
   for (size_t c = 0; c < r.num_columns(); ++c) {
-    auto dist = ValueDistribution::FromColumn(r, c);
+    auto dist = ValueDistribution::FromEncoded(encoded, c);
     ASSERT_TRUE(dist.ok()) << "attr " << c;
     Rng rng(c);
     // Samples are valid non-null values.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <unordered_map>
 #include <utility>
 
@@ -678,6 +679,126 @@ Result<LeakageReport> ReplayRoundValuePath(const Relation& real,
                                            uint64_t round_seed,
                                            const ExperimentConfig& config) {
   return RunRound(real, metadata, method, round_seed, config);
+}
+
+// --- Profile side ---------------------------------------------------------
+
+namespace {
+
+std::vector<Value> Project(const Relation& relation, size_t row,
+                           const std::vector<size_t>& columns) {
+  std::vector<Value> out;
+  out.reserve(columns.size());
+  for (size_t c : columns) out.push_back(relation.at(row, c));
+  return out;
+}
+
+// (lhs tuple, rhs value) of every row with no NULL among `lhs` and `rhs`:
+// the rows the order-based classes (OD, OFD, DD) constrain.
+std::vector<std::pair<std::vector<Value>, Value>> OrderPoints(
+    const Relation& relation, const std::vector<size_t>& lhs, size_t rhs) {
+  auto is_null = [](const Value& v) { return v.is_null(); };
+  std::vector<std::pair<std::vector<Value>, Value>> points;
+  for (size_t r = 0; r < relation.num_rows(); ++r) {
+    std::vector<Value> x = Project(relation, r, lhs);
+    const Value& y = relation.at(r, rhs);
+    if (y.is_null() || std::any_of(x.begin(), x.end(), is_null)) continue;
+    points.emplace_back(std::move(x), y);
+  }
+  return points;
+}
+
+}  // namespace
+
+std::vector<std::vector<size_t>> StrippedPartition(
+    const Relation& relation, const std::vector<size_t>& columns) {
+  std::map<std::vector<Value>, std::vector<size_t>> groups;
+  for (size_t r = 0; r < relation.num_rows(); ++r) {
+    groups[Project(relation, r, columns)].push_back(r);
+  }
+  std::vector<std::vector<size_t>> clusters;
+  for (auto& [key, rows] : groups) {
+    if (rows.size() >= 2) clusters.push_back(std::move(rows));
+  }
+  std::sort(clusters.begin(), clusters.end());
+  return clusters;
+}
+
+bool OrderHolds(const Relation& relation, const std::vector<size_t>& lhs,
+                size_t rhs, bool strict) {
+  const auto points = OrderPoints(relation, lhs, rhs);
+  for (const auto& [xt, yt] : points) {
+    for (const auto& [xu, yu] : points) {
+      const bool violated = strict ? (xt == xu && !(yt == yu)) ||
+                                         (xt < xu && !(yt < yu))
+                                   : !(xu < xt) && yu < yt;
+      if (violated) return false;
+    }
+  }
+  return true;
+}
+
+Result<double> MinimalDelta(const Relation& relation,
+                            const std::vector<size_t>& lhs,
+                            const std::vector<double>& eps, size_t rhs) {
+  METALEAK_DCHECK(lhs.size() == eps.size());
+  const auto points = OrderPoints(relation, lhs, rhs);
+  auto is_numeric = [](const Value& v) { return v.is_numeric(); };
+  for (const auto& [x, y] : points) {
+    if (!y.is_numeric() || !std::all_of(x.begin(), x.end(), is_numeric)) {
+      return Status::TypeError(
+          "differential dependencies require numeric attributes");
+    }
+  }
+  double delta = 0.0;
+  for (const auto& [xt, yt] : points) {
+    for (const auto& [xu, yu] : points) {
+      bool within = true;
+      for (size_t k = 0; k < lhs.size(); ++k) {
+        within = within &&
+                 std::fabs(xt[k].AsNumeric() - xu[k].AsNumeric()) <= eps[k];
+      }
+      if (within) {
+        delta = std::max(delta, std::fabs(yt.AsNumeric() - yu.AsNumeric()));
+      }
+    }
+  }
+  return delta;
+}
+
+FrequencyTable FrequencyTableOf(const Relation& relation, size_t attribute) {
+  std::map<Value, size_t> freq;
+  for (const Value& v : relation.column(attribute)) {
+    if (!v.is_null()) ++freq[v];
+  }
+  FrequencyTable table;
+  for (const auto& [value, count] : freq) {
+    table.values.push_back(value);
+    table.counts.push_back(count);
+  }
+  return table;
+}
+
+Result<ValueDistribution> DistributionOf(const Relation& relation,
+                                         size_t attribute, size_t buckets) {
+  if (relation.schema().attribute(attribute).semantic ==
+      SemanticType::kCategorical) {
+    return ValueDistribution::Categorical(
+        FrequencyTableOf(relation, attribute));
+  }
+  std::vector<double> xs;
+  for (const Value& v : relation.column(attribute)) {
+    if (!v.is_null() && v.is_numeric()) xs.push_back(v.AsNumeric());
+  }
+  if (xs.empty() || buckets == 0) {
+    return Status::Invalid("no numeric values or no buckets");
+  }
+  Histogram h;
+  h.lo = *std::min_element(xs.begin(), xs.end());
+  h.hi = *std::max_element(xs.begin(), xs.end());
+  h.counts.assign(buckets, 0);
+  for (double x : xs) ++h.counts[h.BucketOf(x)];
+  return ValueDistribution::Continuous(std::move(h));
 }
 
 }  // namespace metaleak::reference
