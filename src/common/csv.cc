@@ -134,17 +134,4 @@ std::string WriteCsv(const CsvTable& table, const CsvOptions& options) {
   return out;
 }
 
-Status WriteCsvFile(const std::string& path, const CsvTable& table,
-                    const CsvOptions& options) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IoError("cannot open file for writing: " + path);
-  }
-  out << WriteCsv(table, options);
-  if (!out) {
-    return Status::IoError("write failed: " + path);
-  }
-  return Status::OK();
-}
-
 }  // namespace metaleak

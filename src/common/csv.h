@@ -40,10 +40,6 @@ Result<CsvTable> ReadCsvFile(const std::string& path,
 std::string WriteCsv(const CsvTable& table,
                      const CsvOptions& options = CsvOptions());
 
-/// Writes rows to a file; returns IoError on failure.
-Status WriteCsvFile(const std::string& path, const CsvTable& table,
-                    const CsvOptions& options = CsvOptions());
-
 }  // namespace metaleak
 
 #endif  // METALEAK_COMMON_CSV_H_

@@ -53,13 +53,6 @@ class Rng {
     }
   }
 
-  /// Returns a value drawn uniformly from `values`. Requires non-empty.
-  template <typename T>
-  const T& Choice(const std::vector<T>& values) {
-    METALEAK_DCHECK(!values.empty());
-    return values[UniformIndex(values.size())];
-  }
-
   /// Derives an independent child stream; used to give each attribute /
   /// round its own stream so adding attributes does not perturb others.
   Rng Fork();

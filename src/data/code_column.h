@@ -127,11 +127,6 @@ class CodeColumn {
   CodeColumn() = default;
   explicit CodeColumn(CodeWidth width) : width_(width) {}
 
-  /// Column sized for codes in [0, num_codes) via the selection rule.
-  static CodeColumn ForNumCodes(uint64_t num_codes) {
-    return CodeColumn(CodeWidthForNumCodes(num_codes));
-  }
-
   /// Widened copy of arbitrary u32 codes at the given width (codes must
   /// fit; DCHECK-enforced).
   static CodeColumn FromU32(const std::vector<uint32_t>& codes,

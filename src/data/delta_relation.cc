@@ -219,7 +219,7 @@ PublishResult DeltaRelation::PublishCanonical() {
   }
 
   out.encoded = EncodedRelation::FromParts(schema_, std::move(canonical_codes),
-                                           std::move(dicts), nullptr);
+                                           std::move(dicts));
   // Re-seed into the canonical space so drift only accumulates within a
   // single batch window.
   *this = DeltaRelation(out.encoded);

@@ -99,8 +99,9 @@ struct BatchEffects {
 
 /// Result of folding the delta back into an immutable snapshot.
 struct PublishResult {
-  /// Canonical encoding (source() == nullptr; the caller materializes
-  /// the backing Relation via Decode and re-points it).
+  /// Canonical encoding, indistinguishable from Encode of the post-batch
+  /// rows; every consumer reads it directly (Decode when boxed rows are
+  /// wanted).
   EncodedRelation encoded;
   /// Per column: code_remap[c][delta_code] = canonical code. Tombstoned
   /// codes map to 0 alongside NULL; live maps are injective. Cached

@@ -35,7 +35,6 @@ EncodedRelation EncodedRelation::Encode(const Relation& relation) {
   EncodedRelation out;
   out.schema_ = relation.schema();
   out.num_rows_ = relation.num_rows();
-  out.source_ = &relation;
   const size_t m = relation.num_columns();
   out.columns_.resize(m);
   out.dicts_.resize(m);
@@ -92,9 +91,20 @@ ColumnDictionary ColumnDictionary::FromSortedParts(
   return dict;
 }
 
+bool ColumnDictionary::Find(const Value& v, uint32_t* code) const {
+  if (v.is_null()) {
+    *code = kNullCode;
+    return true;
+  }
+  auto it = std::lower_bound(values_.begin() + 1, values_.end(), v);
+  if (it == values_.end() || !(*it == v)) return false;
+  *code = static_cast<uint32_t>(it - values_.begin());
+  return true;
+}
+
 EncodedRelation EncodedRelation::FromParts(
     Schema schema, std::vector<std::vector<uint32_t>> codes,
-    std::vector<ColumnDictionary> dicts, const Relation* source) {
+    std::vector<ColumnDictionary> dicts) {
   METALEAK_DCHECK(codes.size() == dicts.size());
   std::vector<CodeColumn> columns;
   columns.reserve(codes.size());
@@ -102,19 +112,16 @@ EncodedRelation EncodedRelation::FromParts(
     columns.push_back(CodeColumn::FromU32(
         codes[c], CodeWidthForNumCodes(dicts[c].num_codes())));
   }
-  return FromParts(std::move(schema), std::move(columns), std::move(dicts),
-                   source);
+  return FromParts(std::move(schema), std::move(columns), std::move(dicts));
 }
 
 EncodedRelation EncodedRelation::FromParts(Schema schema,
                                            std::vector<CodeColumn> columns,
-                                           std::vector<ColumnDictionary> dicts,
-                                           const Relation* source) {
+                                           std::vector<ColumnDictionary> dicts) {
   METALEAK_DCHECK(columns.size() == dicts.size());
   EncodedRelation out;
   out.schema_ = std::move(schema);
   out.num_rows_ = columns.empty() ? 0 : columns[0].size();
-  out.source_ = source;
   out.columns_ = std::move(columns);
   out.dicts_ = std::move(dicts);
 

@@ -68,6 +68,10 @@ class ColumnDictionary {
   /// Occurrences of `code` in the column. counts(0) == null_count().
   size_t count(uint32_t code) const { return counts_[code]; }
 
+  /// The code of the entry equal to `v` under Value == (NULL finds code
+  /// 0); false for an absent value or one of another type.
+  bool Find(const Value& v, uint32_t* code) const;
+
   /// Sorted distinct non-null values — the categorical domain, for free.
   /// The returned view skips the NULL slot.
   std::vector<Value> DistinctValues() const {
@@ -97,9 +101,10 @@ class ColumnDictionary {
 };
 
 /// The dictionary-encoded relation. Construction (`Encode`) is O(N log D)
-/// per column; afterwards every consumer works on dense codes. The source
-/// relation must outlive the encoding (the encoding keeps a non-owning
-/// pointer for consumers that still need raw values, e.g. CFD discovery).
+/// per column; afterwards every consumer works on dense codes. The
+/// encoding owns everything it holds and keeps no reference to the
+/// relation it was built from: raw values live in the dictionaries, so
+/// `Decode` rebuilds the relation and the source may go away at once.
 class EncodedRelation {
  public:
   EncodedRelation() = default;
@@ -112,31 +117,21 @@ class EncodedRelation {
   /// (NULL code 0, dense order-preserving codes, counts populated). The
   /// fingerprint is recomputed with Encode's mixing sequence, so equal
   /// content yields an equal fingerprint regardless of which path built
-  /// it. `source` may be null when no backing Relation exists yet.
-  /// Columns are re-narrowed to their dictionary's natural width.
+  /// it. Columns are re-narrowed to their dictionary's natural width.
   static EncodedRelation FromParts(Schema schema,
                                    std::vector<std::vector<uint32_t>> codes,
-                                   std::vector<ColumnDictionary> dicts,
-                                   const Relation* source);
+                                   std::vector<ColumnDictionary> dicts);
 
   /// FromParts for callers that already hold narrow columns (the delta
   /// layer's publish path). Column widths are kept as-is; they must fit
   /// the dictionaries.
   static EncodedRelation FromParts(Schema schema,
                                    std::vector<CodeColumn> columns,
-                                   std::vector<ColumnDictionary> dicts,
-                                   const Relation* source);
-
-  /// Re-points the non-owning source pointer, e.g. after the caller
-  /// materializes (and takes ownership of) the decoded relation.
-  void set_source(const Relation* source) { source_ = source; }
+                                   std::vector<ColumnDictionary> dicts);
 
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
-
-  /// The source relation this encoding was built from (non-owning).
-  const Relation* source() const { return source_; }
 
   /// Width-tagged view of column `c`'s native narrow storage — the
   /// bandwidth-proportional access path.
@@ -188,7 +183,6 @@ class EncodedRelation {
   std::vector<CodeColumn> columns_;  // [column], narrow storage
   std::vector<ColumnDictionary> dicts_;
   uint64_t fingerprint_ = 0;
-  const Relation* source_ = nullptr;
 };
 
 }  // namespace metaleak

@@ -24,15 +24,4 @@ std::string SemanticTypeToString(SemanticType type) {
   return "unknown";
 }
 
-SemanticType DefaultSemanticType(DataType type) {
-  switch (type) {
-    case DataType::kDouble:
-      return SemanticType::kContinuous;
-    case DataType::kInt64:
-    case DataType::kString:
-      return SemanticType::kCategorical;
-  }
-  return SemanticType::kCategorical;
-}
-
 }  // namespace metaleak

@@ -25,11 +25,6 @@ enum class SemanticType {
 std::string DataTypeToString(DataType type);
 std::string SemanticTypeToString(SemanticType type);
 
-/// Default semantic role for a physical type: strings are categorical,
-/// doubles are continuous, integers are categorical (they usually encode
-/// codes/labels; loaders may override per attribute).
-SemanticType DefaultSemanticType(DataType type);
-
 }  // namespace metaleak
 
 #endif  // METALEAK_DATA_TYPE_H_

@@ -94,12 +94,8 @@ Result<DiscoveryReport> ProfileRelation(PliCache* cache,
     for (const Dependency& d : dds) report.metadata.dependencies.Add(d);
   }
   if (options.discover_cfds) {
-    // CFDs match constant patterns against raw values; the encoding keeps
-    // a pointer to its source relation for exactly this path.
-    METALEAK_DCHECK(relation.source() != nullptr);
-    METALEAK_ASSIGN_OR_RETURN(
-        report.metadata.conditional_fds,
-        DiscoverCfds(*relation.source(), options.cfd));
+    METALEAK_ASSIGN_OR_RETURN(report.metadata.conditional_fds,
+                              DiscoverCfds(cache, options.cfd));
   }
 
   METALEAK_LOG(kInfo) << "profiled relation: " << relation.num_rows()

@@ -69,9 +69,8 @@ Result<DiscoveryReport> ProfileRelation(const Relation& relation,
                                         const DiscoveryOptions& options = {});
 
 /// Profiles an already-encoded relation: domains and value distributions
-/// are read from the per-column dictionaries, partitions are built from
-/// dense codes. CFD discovery (when enabled) consults the raw values via
-/// `relation.source()`, which must still be alive.
+/// are read from the per-column dictionaries, partitions and every
+/// dependency class (CFDs included) run on the dense codes.
 Result<DiscoveryReport> ProfileRelation(const EncodedRelation& relation,
                                         const DiscoveryOptions& options = {});
 

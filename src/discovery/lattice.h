@@ -153,7 +153,6 @@ class VerdictMemo {
   }
 
   size_t size() const { return map_.size(); }
-  void Clear() { map_.clear(); }
 
   /// Exchanges contents (the mutexes stay put — memos are not movable,
   /// so round-to-round handover swaps the maps instead).

@@ -65,7 +65,7 @@ class PliCache {
   explicit PliCache(const EncodedRelation* encoded);
 
   /// Convenience: encodes `relation` internally and owns the encoding.
-  /// The relation must outlive the cache.
+  /// The cache keeps no reference to `relation`.
   explicit PliCache(const Relation* relation);
 
   /// Builds over an existing encoding but seeds the single-attribute

@@ -36,10 +36,6 @@ Result<AuditResult> RunAuditProfiled(PliCache& cache,
   if (encoded.num_rows() == 0 || encoded.num_columns() == 0) {
     return Status::Invalid("cannot audit an empty relation");
   }
-  if (encoded.source() == nullptr) {
-    return Status::Invalid(
-        "profiled audit needs an encoding with a live source relation");
-  }
   const uint64_t pli_hits_before = cache.hits();
   const uint64_t pli_misses_before = cache.misses();
 

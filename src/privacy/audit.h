@@ -93,10 +93,10 @@ Result<AuditResult> RunAudit(const Relation& relation,
                              const AuditOptions& options = {});
 
 /// Audits an already-profiled snapshot — the warm path: no encoding, no
-/// discovery. `cache` must be built over the snapshot's encoding (with
-/// a live source Relation) and `profile` must be that snapshot's
-/// discovery output; only identifiability, the Monte-Carlo experiment,
-/// and the verdicts run here. `AuditOptions::discovery` is ignored.
+/// discovery. `cache` must be built over the snapshot's encoding and
+/// `profile` must be that snapshot's discovery output; only
+/// identifiability, the Monte-Carlo experiment, and the verdicts run
+/// here. `AuditOptions::discovery` is ignored.
 Result<AuditResult> RunAuditProfiled(PliCache& cache,
                                      const DiscoveryReport& profile,
                                      const AuditOptions& options = {});

@@ -140,7 +140,7 @@ class ExperimentEngine {
 
   /// Runs against a pre-built encoding instead of re-encoding the
   /// relation — the warm-snapshot path. `encoded` and `metadata` must
-  /// outlive the engine; `encoded.source()` is never read.
+  /// outlive the engine.
   ExperimentEngine(const EncodedRelation& encoded,
                    const MetadataPackage& metadata);
 

@@ -44,18 +44,20 @@ std::string TupleRiskReport::ToString(size_t count) const {
 Result<TupleRiskReport> AnalyzeTupleRisk(const Relation& real,
                                          const MetadataPackage& metadata,
                                          const TupleRiskOptions& options) {
+  return AnalyzeTupleRisk(EncodedRelation::Encode(real), metadata, options);
+}
+
+Result<TupleRiskReport> AnalyzeTupleRisk(const EncodedRelation& encoded,
+                                         const MetadataPackage& metadata,
+                                         const TupleRiskOptions& options) {
   if (options.rounds == 0) {
     return Status::Invalid("tuple risk analysis needs at least one round");
   }
-  const size_t n = real.num_rows();
-  const size_t m = real.num_columns();
+  const size_t n = encoded.num_rows();
+  const size_t m = encoded.num_columns();
   if (n == 0 || m == 0) {
     return Status::Invalid("cannot analyze an empty relation");
   }
-
-  // One dictionary encoding shared by the leakage tables below and
-  // every per-subset uniqueness scan in the identifiability pass.
-  EncodedRelation encoded = EncodedRelation::Encode(real);
 
   // Non-null attribute counts per row (the "half reconstructed" base),
   // read column-major off the dense code vectors: code 0 is the reserved

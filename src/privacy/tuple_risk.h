@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "data/encoded_relation.h"
 #include "data/relation.h"
 #include "metadata/metadata_package.h"
 #include "privacy/leakage.h"
@@ -58,6 +59,11 @@ struct TupleRiskReport {
 
 /// Runs the Monte-Carlo tuple-risk analysis: `rounds` synthetic
 /// relations generated from `metadata`, scored cell-wise against `real`.
+Result<TupleRiskReport> AnalyzeTupleRisk(
+    const EncodedRelation& real, const MetadataPackage& metadata,
+    const TupleRiskOptions& options = {});
+
+/// Encodes `real` and delegates to the overload above.
 Result<TupleRiskReport> AnalyzeTupleRisk(
     const Relation& real, const MetadataPackage& metadata,
     const TupleRiskOptions& options = {});

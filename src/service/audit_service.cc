@@ -16,10 +16,9 @@ Result<SessionId> AuditService::Register(const Relation& relation) {
   if (relation.num_rows() == 0 || relation.num_columns() == 0) {
     return Status::Invalid("cannot register an empty relation");
   }
-  // Encode against the caller's relation just to key the cache; the
-  // snapshot (on a miss) re-encodes its own copy of the rows.
-  const uint64_t fingerprint =
-      EncodedRelation::Encode(relation).Fingerprint();
+  // One encoding keys the cache and, on a miss, becomes the snapshot's.
+  EncodedRelation encoded = EncodedRelation::Encode(relation);
+  const uint64_t fingerprint = encoded.Fingerprint();
 
   std::shared_ptr<CacheEntry> entry;
   bool inserted = false;
@@ -48,8 +47,9 @@ Result<SessionId> AuditService::Register(const Relation& relation) {
   auto memo = std::make_unique<DiscoveryMemo>();
   std::call_once(entry->once, [&] {
     Result<std::shared_ptr<const RelationSnapshot>> built =
-        RelationSnapshot::FromRelation(relation, options_.discovery,
-                                       options_.leakage, memo.get());
+        RelationSnapshot::FromPublished(
+            std::move(encoded), {}, options_.discovery, options_.leakage,
+            DeltaTouch::None(relation.num_columns()), memo.get());
     if (built.ok()) {
       entry->snapshot = std::move(*built);
     } else {
@@ -164,7 +164,7 @@ Result<TupleRiskReport> AuditService::TupleRisk(
     SessionId id, const TupleRiskOptions& options) {
   METALEAK_ASSIGN_OR_RETURN(std::shared_ptr<const RelationSnapshot> snap,
                             CurrentSnapshot(id));
-  return AnalyzeTupleRisk(snap->relation(), snap->profile().metadata,
+  return AnalyzeTupleRisk(snap->encoding(), snap->profile().metadata,
                           options);
 }
 

@@ -9,18 +9,9 @@ RelationSnapshot::FromRelation(const Relation& relation,
                                const DiscoveryOptions& discovery,
                                const LeakageOptions& leakage,
                                DiscoveryMemo* memo) {
-  if (relation.num_rows() == 0 || relation.num_columns() == 0) {
-    return Status::Invalid("cannot snapshot an empty relation");
-  }
-  auto snap = std::shared_ptr<RelationSnapshot>(new RelationSnapshot());
-  snap->relation_ = std::make_unique<Relation>(relation);
-  snap->encoded_ = std::make_unique<EncodedRelation>(
-      EncodedRelation::Encode(*snap->relation_));
-  snap->cache_ = std::make_unique<PliCache>(snap->encoded_.get());
-  METALEAK_RETURN_NOT_OK(
-      snap->Finish(discovery, leakage,
-                   DeltaTouch::None(snap->encoded_->num_columns()), memo));
-  return std::shared_ptr<const RelationSnapshot>(std::move(snap));
+  return FromPublished(EncodedRelation::Encode(relation), {}, discovery,
+                       leakage, DeltaTouch::None(relation.num_columns()),
+                       memo);
 }
 
 Result<std::shared_ptr<const RelationSnapshot>>
@@ -34,32 +25,19 @@ RelationSnapshot::FromPublished(EncodedRelation published,
     return Status::Invalid("cannot snapshot an empty relation");
   }
   auto snap = std::shared_ptr<RelationSnapshot>(new RelationSnapshot());
-  snap->encoded_ =
-      std::make_unique<EncodedRelation>(std::move(published));
-  // The publish carries no backing Relation; materialize one (CFD
-  // discovery and the attack pipeline read raw values) and point the
-  // encoding at it.
-  METALEAK_ASSIGN_OR_RETURN(Relation decoded, snap->encoded_->Decode());
-  snap->relation_ = std::make_unique<Relation>(std::move(decoded));
-  snap->encoded_->set_source(snap->relation_.get());
-  snap->cache_ = std::make_unique<PliCache>(snap->encoded_.get(),
-                                            std::move(singles));
-  METALEAK_RETURN_NOT_OK(snap->Finish(discovery, leakage, touch, memo));
+  snap->encoded_ = std::make_unique<EncodedRelation>(std::move(published));
+  snap->cache_ = singles.empty()
+                     ? std::make_unique<PliCache>(snap->encoded_.get())
+                     : std::make_unique<PliCache>(snap->encoded_.get(),
+                                                  std::move(singles));
+  snap->fingerprint_ = snap->encoded_->Fingerprint();
+  METALEAK_ASSIGN_OR_RETURN(
+      snap->profile_, ProfileRelationIncremental(snap->cache_.get(),
+                                                 discovery, touch, memo));
+  METALEAK_ASSIGN_OR_RETURN(
+      snap->leakage_, ComputeLeakageProfile(*snap->encoded_,
+                                            snap->profile_.metadata, leakage));
   return std::shared_ptr<const RelationSnapshot>(std::move(snap));
-}
-
-Status RelationSnapshot::Finish(const DiscoveryOptions& discovery,
-                                const LeakageOptions& leakage,
-                                const DeltaTouch& touch,
-                                DiscoveryMemo* memo) {
-  fingerprint_ = encoded_->Fingerprint();
-  METALEAK_ASSIGN_OR_RETURN(
-      profile_,
-      ProfileRelationIncremental(cache_.get(), discovery, touch, memo));
-  METALEAK_ASSIGN_OR_RETURN(
-      leakage_,
-      ComputeLeakageProfile(*encoded_, profile_.metadata, leakage));
-  return Status::OK();
 }
 
 }  // namespace metaleak

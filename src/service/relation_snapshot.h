@@ -1,10 +1,11 @@
 // RelationSnapshot: the immutable half of the snapshot/delta split, as a
 // shareable bundle.
 //
-// A snapshot owns everything a query needs — the decoded relation, its
-// canonical encoding, a thread-safe partition cache seeded with the
-// single-attribute PLIs, the discovered dependency profile, and the
-// analytical leakage profile (including the batch-independent risk
+// A snapshot owns everything a query needs — the canonical encoding of
+// its rows (no boxed copy: queries run on the codes, and a caller that
+// wants a Relation Decodes one), a thread-safe partition cache seeded
+// with the single-attribute PLIs, the discovered dependency profile, and
+// the analytical leakage profile (including the batch-independent risk
 // estimator measures — entropy and conditional-entropy bounds — cached
 // by ComputeLeakageProfile). Once built it is never mutated; concurrent
 // audit / leakage / attack queries all read the same bundle (the PliCache
@@ -31,24 +32,25 @@ namespace metaleak {
 
 class RelationSnapshot {
  public:
-  /// Builds a snapshot from a caller's relation: copies the rows, encodes
-  /// them, profiles through `memo` (recording verdicts for later
-  /// incremental rounds), and evaluates the analytical leakage model.
+  /// Builds a snapshot from a caller's relation: FromPublished of its
+  /// encoding, with no seeded PLIs and nothing touched. Profiling records
+  /// verdicts in `memo` for later incremental rounds. The snapshot keeps
+  /// no reference to `relation`.
   static Result<std::shared_ptr<const RelationSnapshot>> FromRelation(
       const Relation& relation, const DiscoveryOptions& discovery,
       const LeakageOptions& leakage, DiscoveryMemo* memo);
 
   /// Builds a snapshot from a DeltaRelation publish: takes the canonical
-  /// encoding, materializes (and owns) its decoded relation, seeds the
-  /// partition cache with the incrementally maintained single-attribute
-  /// PLIs, and re-profiles via targeted revalidation — only candidates
-  /// whose support sets `touch` reached are re-validated.
+  /// encoding, seeds the partition cache with the incrementally
+  /// maintained single-attribute PLIs (built from the codes when
+  /// `singles` is empty), re-profiles via targeted revalidation — only
+  /// candidates whose support sets `touch` reached are re-validated — and
+  /// evaluates the analytical leakage model. Nothing is decoded.
   static Result<std::shared_ptr<const RelationSnapshot>> FromPublished(
       EncodedRelation published, std::vector<PositionListIndex> singles,
       const DiscoveryOptions& discovery, const LeakageOptions& leakage,
       const DeltaTouch& touch, DiscoveryMemo* memo);
 
-  const Relation& relation() const { return *relation_; }
   const EncodedRelation& encoding() const { return *encoded_; }
   /// Thread-safe; intentionally non-const through a const snapshot (the
   /// cache memoizes internally but never changes observable state).
@@ -62,14 +64,7 @@ class RelationSnapshot {
  private:
   RelationSnapshot() = default;
 
-  /// Shared tail of both factories: profile + leakage over the already-
-  /// wired relation/encoding/cache members.
-  Status Finish(const DiscoveryOptions& discovery,
-                const LeakageOptions& leakage, const DeltaTouch& touch,
-                DiscoveryMemo* memo);
-
-  std::unique_ptr<Relation> relation_;        // owns the rows
-  std::unique_ptr<EncodedRelation> encoded_;  // source() == relation_.get()
+  std::unique_ptr<EncodedRelation> encoded_;
   std::unique_ptr<PliCache> cache_;
   DiscoveryReport profile_;
   LeakageProfile leakage_;

@@ -6,9 +6,14 @@
 #include <algorithm>
 #include <string>
 
+#include "common/parallel.h"
 #include "common/random.h"
+#include "data/datasets/echocardiogram.h"
+#include "data/datasets/employee.h"
+#include "data/datasets/synthetic.h"
 #include "data/domain.h"
 #include "data/encoded_batch.h"
+#include "data/encoded_relation.h"
 #include "discovery/cfd_discovery.h"
 #include "discovery/discovery_engine.h"
 #include "generation/cfd_generator.h"
@@ -155,6 +160,193 @@ TEST(CfdTest, MinSupportFilters) {
   auto cfds = DiscoverCfds(r, strict);
   ASSERT_TRUE(cfds.ok());
   EXPECT_TRUE(cfds->empty());
+}
+
+// --- Codes path vs the boxed-Value oracle ------------------------------------
+
+Attribute IntCat(const char* name) {
+  return {name, DataType::kInt64, SemanticType::kCategorical};
+}
+
+Attribute RealAttr(const char* name) {
+  return {name, DataType::kDouble, SemanticType::kContinuous};
+}
+
+// NULLs in condition and RHS cells, a condition value seen once ("c"),
+// and an int and a real column; "cond" -> "y" fails globally (the NULL
+// condition rows disagree on y), so its constant CFDs are reported.
+Relation EdgeRelation() {
+  const Value null = Value::Null();
+  auto s = [](const char* v) { return Value::Str(v); };
+  return MakeRelation(
+      {Cat("cond"), IntCat("x"), Cat("y"), RealAttr("real")},
+      {{s("a"), s("a"), s("b"), null, null, s("c"), s("a"), s("b")},
+       {Value::Int(1), Value::Int(1), Value::Int(2), Value::Int(2), null,
+        Value::Int(3), Value::Int(1), Value::Int(2)},
+       {s("p"), s("p"), null, s("q"), s("r"), s("r"), s("p"), null},
+       {Value::Real(1.5), Value::Real(1.5), Value::Real(3.0), Value::Real(3.0),
+        null, Value::Real(2.0), Value::Real(1.5), Value::Real(3.0)}});
+}
+
+std::vector<Relation> OracleInputs() {
+  return {CfdRelation(), EdgeRelation(), datasets::Employee(),
+          datasets::Echocardiogram(),
+          std::move(datasets::SyntheticUniform(50, 3, 2, 8, 13)).ValueOrDie()};
+}
+
+std::vector<CfdDiscoveryOptions> OracleOptions() {
+  CfdDiscoveryOptions defaults;
+  CfdDiscoveryOptions singletons;  // conditions seen on one row count too
+  singletons.min_support = 1;
+  CfdDiscoveryOptions keep_global = singletons;
+  keep_global.skip_global_fds = false;
+  CfdDiscoveryOptions wide;  // near-key condition attributes
+  wide.min_support = 2;
+  wide.max_condition_distinct = 1000;
+  return {defaults, singletons, keep_global, wide};
+}
+
+std::vector<std::string> Render(const std::vector<ConditionalFd>& cfds,
+                                const Schema& schema) {
+  std::vector<std::string> out;
+  for (const ConditionalFd& cfd : cfds) out.push_back(cfd.ToString(schema));
+  return out;
+}
+
+class CfdOracleTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override { SetGlobalThreadCount(GetParam()); }
+  void TearDown() override { SetGlobalThreadCount(0); }
+};
+
+TEST_P(CfdOracleTest, DiscoveryMatchesInContentAndOrder) {
+  for (const Relation& rel : OracleInputs()) {
+    EncodedRelation encoded = EncodedRelation::Encode(rel);
+    for (const CfdDiscoveryOptions& options : OracleOptions()) {
+      SCOPED_TRACE("min_support " + std::to_string(options.min_support) +
+                   " max_condition_distinct " +
+                   std::to_string(options.max_condition_distinct));
+      const std::vector<ConditionalFd> expected =
+          reference::DiscoverCfds(rel, options);
+      auto actual = DiscoverCfds(rel, options);
+      ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+      EXPECT_EQ(Render(*actual, rel.schema()),
+                Render(expected, rel.schema()));
+      EXPECT_TRUE(*actual == expected);
+
+      // The profile runs the same search on its own cache.
+      DiscoveryOptions profile_options;
+      profile_options.discover_cfds = true;
+      profile_options.cfd = options;
+      auto profile = ProfileRelation(encoded, profile_options);
+      ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+      EXPECT_TRUE(profile->metadata.conditional_fds == expected);
+    }
+  }
+}
+
+TEST_P(CfdOracleTest, ValidationMatchesOnEveryCandidate) {
+  // Every (condition attribute, RHS) pair with condition values drawn
+  // from the column, NULL, an absent string and both numeric types of 3,
+  // against constants (a column value, NULL, absent) and 1- and
+  // 2-attribute LHS sets.
+  for (const Relation& rel : OracleInputs()) {
+    EncodedRelation encoded = EncodedRelation::Encode(rel);
+    const size_t m = rel.num_columns();
+    for (size_t c = 0; c < m; ++c) {
+      std::vector<Value> conditions = {Value::Null(), Value::Str("absent"),
+                                       Value::Int(3), Value::Real(3.0)};
+      for (size_t r = 0; r < std::min<size_t>(rel.num_rows(), 3); ++r) {
+        conditions.push_back(rel.at(r, c));
+      }
+      for (size_t a = 0; a < m; ++a) {
+        if (a == c) continue;
+        std::vector<ConditionalFd> candidates;
+        for (const Value& cv : conditions) {
+          for (const Value& constant :
+               {rel.at(0, a), Value::Null(), Value::Str("absent")}) {
+            candidates.push_back(
+                ConditionalFd::Constant(c, cv, a, constant, 0));
+          }
+          for (size_t x = 0; x < m; ++x) {
+            if (x == a) continue;
+            candidates.push_back(ConditionalFd::Variable(
+                c, cv, AttributeSet::Single(x), a, 0));
+            const size_t y = (x + 1) % m;
+            if (y != a && y != x) {
+              candidates.push_back(ConditionalFd::Variable(
+                  c, cv, AttributeSet::Of({x, y}), a, 0));
+            }
+          }
+        }
+        for (const ConditionalFd& cfd : candidates) {
+          auto expected = reference::ValidateCfd(rel, cfd);
+          auto actual = ValidateCfd(encoded, cfd);
+          ASSERT_TRUE(expected.ok() && actual.ok())
+              << cfd.ToString(rel.schema());
+          EXPECT_EQ(*actual, *expected) << cfd.ToString(rel.schema());
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, CfdOracleTest, ::testing::Values(1, 8));
+
+TEST(CfdTest, MinSupportOneKeepsSingletonConditions) {
+  // The condition "c" occurs on one row: a stripped partition drops that
+  // cluster, the dictionary count keeps it.
+  Relation r = EdgeRelation();
+  CfdDiscoveryOptions options;
+  options.min_support = 1;
+  auto cfds = DiscoverCfds(r, options);
+  ASSERT_TRUE(cfds.ok());
+  ConditionalFd singleton =
+      ConditionalFd::Constant(0, Value::Str("c"), 2, Value::Str("r"), 1);
+  EXPECT_NE(std::find(cfds->begin(), cfds->end(), singleton), cfds->end());
+  // "b" rows carry NULL y: a NULL constant is never reported.
+  for (const ConditionalFd& cfd : *cfds) {
+    if (cfd.rhs_is_constant) {
+      EXPECT_FALSE(cfd.rhs_value.is_null()) << cfd.ToString(r.schema());
+    }
+  }
+}
+
+TEST(CfdTest, ValidateMatchesCellsAsValueEquality) {
+  Relation r = EdgeRelation();
+  // A NULL condition matches the NULL cells (rows 3, 4: y = q, r).
+  EXPECT_FALSE(*ValidateCfd(
+      r, ConditionalFd::Constant(0, Value::Null(), 2, Value::Str("q"), 0)));
+  // A NULL constant matches NULL RHS cells ("b" rows carry NULL y).
+  EXPECT_TRUE(*ValidateCfd(
+      r, ConditionalFd::Constant(0, Value::Str("b"), 2, Value::Null(), 0)));
+  // A constant absent from the dictionary matches no cell.
+  EXPECT_FALSE(*ValidateCfd(
+      r, ConditionalFd::Constant(0, Value::Str("a"), 2, Value::Str("zz"), 0)));
+  EXPECT_TRUE(*ValidateCfd(
+      r, ConditionalFd::Constant(0, Value::Str("zz"), 2, Value::Str("p"), 0)));
+  // Int(3) equals no cell of the real column, so the CFD is vacuous;
+  // Real(3.0) selects rows whose y disagrees with the constant.
+  EXPECT_TRUE(*ValidateCfd(
+      r, ConditionalFd::Constant(3, Value::Int(3), 2, Value::Str("q"), 0)));
+  EXPECT_FALSE(*ValidateCfd(
+      r, ConditionalFd::Constant(3, Value::Real(3.0), 2, Value::Str("q"), 0)));
+}
+
+TEST(CfdTest, ProfilesAnEncodingThatOutlivesItsRelation) {
+  // The encoding owns its cells: copied out of Encode of a temporary, it
+  // profiles exactly as the relation it came from.
+  EncodedRelation encoded = EncodedRelation::Encode(datasets::Employee());
+  DiscoveryOptions options;
+  options.discover_cfds = true;
+  options.cfd.min_support = 2;
+  auto from_encoding = ProfileRelation(encoded, options);
+  ASSERT_TRUE(from_encoding.ok()) << from_encoding.status().ToString();
+  auto from_relation = ProfileRelation(datasets::Employee(), options);
+  ASSERT_TRUE(from_relation.ok()) << from_relation.status().ToString();
+  EXPECT_EQ(from_encoding->metadata.Serialize(),
+            from_relation->metadata.Serialize());
+  EXPECT_FALSE(from_encoding->metadata.conditional_fds.empty());
 }
 
 // --- Packaging / serialization -----------------------------------------------------

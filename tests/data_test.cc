@@ -53,7 +53,9 @@ TEST(ValueTest, OrderingIsStrictWeak) {
   for (const Value& a : vals) {
     EXPECT_FALSE(a < a);
     for (const Value& b : vals) {
-      if (a < b) EXPECT_FALSE(b < a);
+      if (a < b) {
+        EXPECT_FALSE(b < a);
+      }
     }
   }
 }

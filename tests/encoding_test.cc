@@ -191,7 +191,9 @@ TEST(EncodedRelationTest, DomainsMatchExtractDomain) {
       auto expected = ExtractDomain(rel, c);
       auto actual = encoded.DomainOf(c);
       ASSERT_EQ(expected.ok(), actual.ok());
-      if (expected.ok()) EXPECT_EQ(*expected, *actual);
+      if (expected.ok()) {
+        EXPECT_EQ(*expected, *actual);
+      }
     }
   }
 }

@@ -163,7 +163,9 @@ TEST(ColumnGeneratorsTest, AfdZeroErrorIsExactFd) {
   std::unordered_map<Value, Value> mapping;
   for (size_t row = 0; row < 200; ++row) {
     auto [it, inserted] = mapping.emplace(r.at(row, 0), r.at(row, 1));
-    if (!inserted) EXPECT_EQ(it->second, r.at(row, 1));
+    if (!inserted) {
+      EXPECT_EQ(it->second, r.at(row, 1));
+    }
   }
 }
 

@@ -33,6 +33,7 @@
 #include "partition/pli_cache.h"
 #include "partition/pli_maintenance.h"
 #include "partition/position_list_index.h"
+#include "privacy/audit.h"
 #include "privacy/experiment.h"
 #include "privacy/leakage_delta.h"
 
@@ -99,6 +100,17 @@ RowBatch RandomBatch(const Relation& current, Rng& rng, bool with_deletes,
     }
   }
   return batch;
+}
+
+// `relation` after one random mixed batch, as DeltaRelation publishes
+// it: an encoding with no Relation behind it.
+PublishResult PublishAfterOneBatch(const Relation& relation, uint64_t seed) {
+  DeltaRelation delta(EncodedRelation::Encode(relation));
+  Rng rng(seed);
+  Result<BatchEffects> effects =
+      delta.ApplyBatch(RandomBatch(relation, rng, true, true));
+  EXPECT_TRUE(effects.ok()) << effects.status().ToString();
+  return delta.PublishCanonical();
 }
 
 void ExpectEncodingsIdentical(const EncodedRelation& incremental,
@@ -209,7 +221,6 @@ class IncrementalGoldenTest : public ::testing::TestWithParam<size_t> {
       ExpectPlisIdentical(plis, scratch);
 
       // 3. Discovery parity: targeted revalidation vs full profile.
-      publish.encoded.set_source(&relation);
       std::vector<PositionListIndex> singles;
       for (size_t c = 0; c < relation.num_columns(); ++c) {
         singles.push_back(plis.ToPli(c));
@@ -253,6 +264,27 @@ class IncrementalGoldenTest : public ::testing::TestWithParam<size_t> {
     }
   }
 };
+
+TEST_P(IncrementalGoldenTest, CfdProfileOfPublishedEncodingMatchesEncode) {
+  for (const Relation& relation :
+       {datasets::Employee(), datasets::Echocardiogram()}) {
+    PublishResult publish = PublishAfterOneBatch(relation, 5);
+    Result<Relation> decoded = publish.encoded.Decode();
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    DiscoveryOptions discovery;
+    discovery.discover_cfds = true;
+    discovery.cfd.min_support = 2;
+    Result<DiscoveryReport> published =
+        ProfileRelation(publish.encoded, discovery);
+    ASSERT_TRUE(published.ok()) << published.status().ToString();
+    Result<DiscoveryReport> scratch =
+        ProfileRelation(EncodedRelation::Encode(*decoded), discovery);
+    ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+    EXPECT_FALSE(published->metadata.conditional_fds.empty());
+    EXPECT_EQ(published->metadata.Serialize(),
+              scratch->metadata.Serialize());
+  }
+}
 
 TEST_P(IncrementalGoldenTest, Employee) {
   RunGolden(datasets::Employee(), 0xE1u + GetParam(), 6);
@@ -317,6 +349,26 @@ TEST(DeltaWidenTest, BatchOverflowingU8DictionaryPublishesExactly) {
   EXPECT_EQ(narrowed.encoded.column_width(0), CodeWidth::kU8);
 }
 
+// The warm audit needs nothing but the codes: a published encoding
+// audits exactly as its decoded rows do.
+TEST(IncrementalPublishTest, ProfiledAuditRunsOnThePublishedEncoding) {
+  PublishResult publish =
+      PublishAfterOneBatch(datasets::Echocardiogram(), 9);
+  Result<Relation> decoded = publish.encoded.Decode();
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  AuditOptions options;
+  options.experiment.rounds = 4;
+
+  PliCache cache(&publish.encoded);
+  Result<DiscoveryReport> profile = ProfileRelation(&cache, options.discovery);
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  Result<AuditResult> warm = RunAuditProfiled(cache, *profile, options);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  Result<AuditResult> cold = RunAudit(*decoded, options);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(warm->ToMarkdown(), cold->ToMarkdown());
+}
+
 // Verdict reuse must actually happen (not just stay correct): a batch
 // touching one column leaves most candidate verdicts reusable.
 TEST(IncrementalReuseTest, ReusesVerdictsAcrossBatches) {
@@ -347,9 +399,6 @@ TEST(IncrementalReuseTest, ReusesVerdictsAcrossBatches) {
   PublishResult publish = delta.PublishCanonical();
   plis.RenumberCodes(publish.code_remap);
 
-  Result<Relation> decoded = publish.encoded.Decode();
-  ASSERT_TRUE(decoded.ok());
-  publish.encoded.set_source(&*decoded);
   std::vector<PositionListIndex> singles;
   for (size_t c = 0; c < initial.num_columns(); ++c) {
     singles.push_back(plis.ToPli(c));

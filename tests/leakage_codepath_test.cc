@@ -62,7 +62,9 @@ void ExpectBitIdentical(const std::vector<MethodResult>& a,
       EXPECT_EQ(x.mean_matches, y.mean_matches);
       EXPECT_EQ(x.stddev_matches, y.stddev_matches);
       ASSERT_EQ(x.mean_mse.has_value(), y.mean_mse.has_value());
-      if (x.mean_mse.has_value()) EXPECT_EQ(*x.mean_mse, *y.mean_mse);
+      if (x.mean_mse.has_value()) {
+        EXPECT_EQ(*x.mean_mse, *y.mean_mse);
+      }
     }
   }
 }
@@ -356,7 +358,7 @@ TEST(LeakageCodepathTest, RejectsNanInContinuousRealColumn) {
        Value::Real(std::numeric_limits<double>::quiet_NaN())},
       {0, 2, 1}));
   EncodedRelation encoded = EncodedRelation::FromParts(
-      pkg->schema, {{1, 2, 1}}, std::move(dicts), nullptr);
+      pkg->schema, {{1, 2, 1}}, std::move(dicts));
   const std::string reason = "NaN value in a continuous real column";
   ExperimentConfig config;
   config.rounds = 2;

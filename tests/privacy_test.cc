@@ -128,7 +128,9 @@ TEST(LeakageTest, PerfectCopyLeaksEverything) {
   for (const AttributeLeakage& a : report->attributes) {
     EXPECT_EQ(a.matches, real.num_rows());
     EXPECT_DOUBLE_EQ(a.match_rate, 1.0);
-    if (a.mse.has_value()) EXPECT_DOUBLE_EQ(*a.mse, 0.0);
+    if (a.mse.has_value()) {
+      EXPECT_DOUBLE_EQ(*a.mse, 0.0);
+    }
   }
 }
 
@@ -180,7 +182,9 @@ TEST(IdentifiabilityTest, DiscoverUccsFindsMinimalKeys) {
   // No UCC may contain another (minimality).
   for (AttributeSet a : *uccs) {
     for (AttributeSet b : *uccs) {
-      if (a != b) EXPECT_FALSE(a.ContainsAll(b));
+      if (a != b) {
+        EXPECT_FALSE(a.ContainsAll(b));
+      }
     }
   }
 }

@@ -73,7 +73,9 @@ TEST(ServiceStressTest, ConcurrentMixedQueriesAndBatches) {
       check(snap.ok());
       if (snap.ok()) {
         check((*snap)->num_rows() > 0);
-        check(service.Register((*snap)->relation()).ok());
+        Result<Relation> decoded = (*snap)->encoding().Decode();
+        check(decoded.ok());
+        if (decoded.ok()) check(service.Register(*decoded).ok());
       }
     }
   });

@@ -14,6 +14,7 @@
 #include "data/datasets/employee.h"
 #include "data/datasets/synthetic.h"
 #include "privacy/audit.h"
+#include "privacy/tuple_risk.h"
 #include "service/audit_service.h"
 
 namespace metaleak {
@@ -136,6 +137,42 @@ TEST(AuditServiceTest, ApplyBatchMatchesFreshRegistration) {
   EXPECT_EQ((*after)->fingerprint(), (*fresh_snap)->fingerprint());
   EXPECT_EQ((*after)->profile().metadata.Serialize(),
             (*fresh_snap)->profile().metadata.Serialize());
+}
+
+TEST(AuditServiceTest, TupleRiskAfterABatchMatchesTheDecodedSnapshot) {
+  Relation relation = datasets::Echocardiogram();
+  AuditService service;
+  Result<SessionId> session = service.Register(relation);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  RowBatch batch;
+  batch.delete_rows = {1, 4};
+  batch.insert_rows.push_back(relation.Row(7));
+  ASSERT_TRUE(service.ApplyBatch(*session, batch).ok());
+
+  TupleRiskOptions options;
+  options.rounds = 6;
+  Result<TupleRiskReport> warm = service.TupleRisk(*session, options);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  Result<std::shared_ptr<const RelationSnapshot>> snap =
+      service.Snapshot(*session);
+  ASSERT_TRUE(snap.ok());
+  Result<Relation> decoded = (*snap)->encoding().Decode();
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->num_rows(), relation.num_rows() - 1);
+  Result<TupleRiskReport> cold =
+      AnalyzeTupleRisk(*decoded, (*snap)->profile().metadata, options);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+  ASSERT_EQ(warm->tuples.size(), cold->tuples.size());
+  for (size_t i = 0; i < warm->tuples.size(); ++i) {
+    const TupleRisk& a = warm->tuples[i];
+    const TupleRisk& b = cold->tuples[i];
+    EXPECT_EQ(a.row, b.row);
+    EXPECT_EQ(a.mean_matched_attributes, b.mean_matched_attributes);
+    EXPECT_EQ(a.max_matched_attributes, b.max_matched_attributes);
+    EXPECT_EQ(a.half_reconstructed_rate, b.half_reconstructed_rate);
+    EXPECT_EQ(a.identifiable, b.identifiable);
+  }
 }
 
 TEST(AuditServiceTest, EmptyBatchIsANoOp) {

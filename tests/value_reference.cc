@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "common/macros.h"
@@ -799,6 +800,131 @@ Result<ValueDistribution> DistributionOf(const Relation& relation,
   h.counts.assign(buckets, 0);
   for (double x : xs) ++h.counts[h.BucketOf(x)];
   return ValueDistribution::Continuous(std::move(h));
+}
+
+
+namespace {
+
+// The FD lhs -> rhs restricted to `rows`, by its definition: rows that
+// agree on every LHS value (NULL equals NULL) agree on the RHS value.
+bool FdHoldsOn(const Relation& relation, const std::vector<size_t>& rows,
+               const std::vector<size_t>& lhs, size_t rhs) {
+  std::map<std::vector<Value>, Value> rhs_of;
+  for (size_t r : rows) {
+    auto [it, inserted] =
+        rhs_of.emplace(Project(relation, r, lhs), relation.at(r, rhs));
+    if (!inserted && !(it->second == relation.at(r, rhs))) return false;
+  }
+  return true;
+}
+
+std::vector<size_t> AllRows(const Relation& relation) {
+  std::vector<size_t> rows(relation.num_rows());
+  for (size_t r = 0; r < rows.size(); ++r) rows[r] = r;
+  return rows;
+}
+
+}  // namespace
+
+Result<bool> ValidateCfd(const Relation& relation, const ConditionalFd& cfd) {
+  const size_t n = relation.num_columns();
+  if (cfd.condition_attr >= n || cfd.rhs >= n) {
+    return Status::OutOfRange("CFD attribute index out of range");
+  }
+  for (size_t i : cfd.lhs.ToIndices()) {
+    if (i >= n) return Status::OutOfRange("CFD LHS index out of range");
+  }
+  if (!cfd.rhs_is_constant && cfd.lhs.empty()) {
+    return Status::Invalid("variable CFD needs a non-empty LHS");
+  }
+  std::vector<size_t> rows;
+  for (size_t r = 0; r < relation.num_rows(); ++r) {
+    if (relation.at(r, cfd.condition_attr) == cfd.condition_value) {
+      rows.push_back(r);
+    }
+  }
+  if (rows.empty()) return true;  // vacuous
+  if (cfd.rhs_is_constant) {
+    for (size_t r : rows) {
+      if (!(relation.at(r, cfd.rhs) == cfd.rhs_value)) return false;
+    }
+    return true;
+  }
+  return FdHoldsOn(relation, rows, cfd.lhs.ToIndices(), cfd.rhs);
+}
+
+std::vector<ConditionalFd> DiscoverCfds(const Relation& relation,
+                                        const CfdDiscoveryOptions& options) {
+  std::vector<ConditionalFd> out;
+  const size_t m = relation.num_columns();
+  if (m == 0 || relation.num_rows() == 0) return out;
+  // global[x][a]: the single-attribute FD x -> a holds on every row.
+  const std::vector<size_t> all_rows = AllRows(relation);
+  std::vector<std::vector<bool>> global(m, std::vector<bool>(m, false));
+  for (size_t x = 0; x < m; ++x) {
+    for (size_t a = 0; a < m; ++a) {
+      global[x][a] = FdHoldsOn(relation, all_rows, {x}, a);
+    }
+  }
+  auto fd_holds_globally = [&](size_t x, size_t a) {
+    return options.skip_global_fds && global[x][a];
+  };
+
+  // Distinct non-null values per attribute, in order of first appearance.
+  std::vector<std::vector<Value>> distinct(m);
+  for (size_t c = 0; c < m; ++c) {
+    std::unordered_set<Value> seen;
+    for (const Value& v : relation.column(c)) {
+      if (!v.is_null() && seen.insert(v).second) distinct[c].push_back(v);
+    }
+  }
+
+  // Constant CFDs: [X=x] => A = a, for every value x whose rows all carry
+  // one non-null A value.
+  for (size_t x = 0; x < m; ++x) {
+    if (distinct[x].size() > options.max_condition_distinct) continue;
+    for (size_t a = 0; a < m; ++a) {
+      if (a == x || fd_holds_globally(x, a)) continue;
+      for (const Value& xv : distinct[x]) {
+        std::vector<Value> a_values;
+        for (size_t r = 0; r < relation.num_rows(); ++r) {
+          if (relation.at(r, x) == xv) a_values.push_back(relation.at(r, a));
+        }
+        const bool pure = std::all_of(
+            a_values.begin(), a_values.end(),
+            [&](const Value& v) { return v == a_values.front(); });
+        if (!pure || a_values.size() < options.min_support ||
+            a_values.front().is_null()) {
+          continue;
+        }
+        out.push_back(ConditionalFd::Constant(x, xv, a, a_values.front(),
+                                              a_values.size()));
+      }
+    }
+  }
+
+  // Variable CFDs: [C=c] => (X -> A) with X -> A failing globally.
+  for (size_t c = 0; c < m; ++c) {
+    if (distinct[c].size() > options.max_condition_distinct) continue;
+    for (const Value& cv : distinct[c]) {
+      std::vector<size_t> rows;
+      for (size_t r = 0; r < relation.num_rows(); ++r) {
+        if (relation.at(r, c) == cv) rows.push_back(r);
+      }
+      if (rows.size() < options.min_support) continue;
+      for (size_t x = 0; x < m; ++x) {
+        if (x == c) continue;
+        for (size_t a = 0; a < m; ++a) {
+          if (a == x || a == c || fd_holds_globally(x, a)) continue;
+          if (FdHoldsOn(relation, rows, {x}, a)) {
+            out.push_back(ConditionalFd::Variable(
+                c, cv, AttributeSet::Single(x), a, rows.size()));
+          }
+        }
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace metaleak::reference
